@@ -78,11 +78,9 @@ impl Rng {
     }
 
     fn next(&mut self) -> u64 {
+        let z = faultsim::rng::splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform draw in `0..n` (`n == 0` returns 0).

@@ -8,15 +8,13 @@
 //! absolute wall-clock. Every path also computes a result fingerprint
 //! that must be bit-identical across backends and across repeat runs
 //! (the kernels are bit-identical by construction); any divergence
-//! exits non-zero, so the trajectory doubles as a determinism check
-//! like `parallel-bench`.
+//! exits non-zero, so the trajectory doubles as a determinism check.
 //!
 //! Modes:
 //!
 //! * (default) — measure, print, write `BENCH_kernels.json`.
 //! * `--check [path]` — validate an existing artifact against the
-//!   expected schema (CI guard for the committed file, like
-//!   `serve-bench --check`).
+//!   expected schema (CI guard for the committed file).
 //! * `--gate [path]` — re-measure and fail (exit 1) if any named hot
 //!   path regressed >10% in speedup against the committed artifact,
 //!   beyond a ±0.15 noise floor. Comparison happens only when the
@@ -121,11 +119,8 @@ fn seeded(len: usize, seed: u64) -> Vec<f32> {
     let mut s = seed.wrapping_add(0x9E3779B97F4A7C15);
     (0..len)
         .map(|_| {
+            let z = faultsim::rng::splitmix64(s);
             s = s.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^= z >> 31;
             (z >> 40) as f32 / (1u64 << 23) as f32 - 1.0
         })
         .collect()

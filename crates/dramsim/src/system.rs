@@ -812,26 +812,10 @@ struct ChannelWorker<'a> {
 
 impl ChannelWorker<'_> {
     fn run(mut self) -> ChannelOutcome {
-        if self.injector.is_some() {
-            if let Err(e) = self.service_faulty() {
-                self.out.error = Some(e);
-            }
-        } else {
-            self.service_clean();
+        if let Err(e) = self.service() {
+            self.out.error = Some(e);
         }
         self.out
-    }
-
-    fn injector_ref(&self) -> &FaultInjector {
-        self.injector
-            .as_deref()
-            .expect("fault path requires an attached injector")
-    }
-
-    fn injector_mut(&mut self) -> &mut FaultInjector {
-        self.injector
-            .as_deref_mut()
-            .expect("fault path requires an attached injector")
     }
 
     /// Global rank index of a location, unique across channels (used to
@@ -846,64 +830,55 @@ impl ChannelWorker<'_> {
         self.out.stats.elapsed_cycles = self.out.stats.elapsed_cycles.max(finish);
     }
 
-    fn service_clean(&mut self) {
+    /// The FR-FCFS service loop. With an injector attached, every burst
+    /// runs through the transient/persistent fault pipeline after issue,
+    /// and a watchdog bounds no-progress rounds once only stalled-rank
+    /// bursts remain; without one, the loop only picks, issues and
+    /// records.
+    fn service(&mut self) -> Result<(), FaultError> {
+        let mut faults = self.injector.take().map(|injector| {
+            let watchdog = Watchdog::new(injector.config().watchdog_limit);
+            (injector, watchdog)
+        });
         while !self.state.queue.is_empty() {
             self.out
                 .queue_depth_hist
                 .record(self.state.queue.len() as u64);
             let pick = self.pick_fr_fcfs();
-            let burst = self.state.queue.remove(pick).expect("pick is in range");
-            let (data_start, finish) = self.issue_burst(&burst, burst.loc);
-            self.record_serviced(burst.id, data_start, finish);
-        }
-    }
-
-    /// The fault-aware service loop: every burst runs through the
-    /// transient/persistent fault pipeline after issue, and a watchdog
-    /// bounds no-progress rounds once only stalled-rank bursts remain.
-    fn service_faulty(&mut self) -> Result<(), FaultError> {
-        let cfg = *self.injector_ref().config();
-        let mut watchdog = Watchdog::new(cfg.watchdog_limit);
-        while !self.state.queue.is_empty() {
-            self.out
-                .queue_depth_hist
-                .record(self.state.queue.len() as u64);
-            let pick = self.pick_fr_fcfs();
-            let burst = self.state.queue[pick];
-            let loc = burst.loc;
-            let bus_only = matches!(burst.locality, Locality::Broadcast | Locality::DirectSend);
-            let global_rank = self.global_rank(&loc);
-
-            if !bus_only && self.injector_ref().rank_is_stalled(global_rank) {
-                // A permanently stalled rank never retires its bursts:
-                // rotate to the back of the queue and count a
-                // no-progress round. Without the watchdog this loop
-                // would spin forever once only stalled-rank bursts
-                // remain.
-                let b = self.state.queue.remove(pick).expect("pick in range");
-                self.state.queue.push_back(b);
-                if watchdog.stall() {
-                    self.out.fault_stats.watchdog_trips += 1;
-                    let mut stuck: Vec<u64> =
-                        self.state.queue.iter().map(|b| b.id.0 as u64).collect();
-                    stuck.sort_unstable();
-                    stuck.dedup();
-                    return Err(WatchdogError {
-                        site: format!("dramsim.channel[{}]", self.ch),
-                        waited: watchdog.rounds_since_progress(),
-                        stuck_requests: stuck,
+            if let Some((injector, watchdog)) = faults.as_mut() {
+                let b = &self.state.queue[pick];
+                let bus_only = matches!(b.locality, Locality::Broadcast | Locality::DirectSend);
+                if !bus_only && injector.rank_is_stalled(self.global_rank(&b.loc)) {
+                    // A permanently stalled rank never retires its
+                    // bursts: rotate to the back of the queue and count
+                    // a no-progress round. Without the watchdog this
+                    // loop would spin forever once only stalled-rank
+                    // bursts remain.
+                    let b = self.state.queue.remove(pick).expect("pick in range");
+                    self.state.queue.push_back(b);
+                    if watchdog.stall() {
+                        self.out.fault_stats.watchdog_trips += 1;
+                        let mut stuck: Vec<u64> =
+                            self.state.queue.iter().map(|b| b.id.0 as u64).collect();
+                        stuck.sort_unstable();
+                        stuck.dedup();
+                        return Err(WatchdogError {
+                            site: format!("dramsim.channel[{}]", self.ch),
+                            waited: watchdog.rounds_since_progress(),
+                            stuck_requests: stuck,
+                        }
+                        .into());
                     }
-                    .into());
+                    continue;
                 }
-                continue;
             }
-
-            let b = self.state.queue.remove(pick).expect("pick in range");
-            let (data_start, finish) = self.issue_burst(&b, loc);
-            let extra = self.apply_burst_faults(&b, &loc, global_rank, &cfg)?;
-            let finish = finish + extra;
-            self.record_serviced(b.id, data_start, finish);
-            watchdog.progress();
+            let burst = self.state.queue.remove(pick).expect("pick in range");
+            let (data_start, mut finish) = self.issue_burst(&burst, burst.loc);
+            if let Some((injector, watchdog)) = faults.as_mut() {
+                finish += self.apply_burst_faults(&burst, injector)?;
+                watchdog.progress();
+            }
+            self.record_serviced(burst.id, data_start, finish);
         }
         Ok(())
     }
@@ -923,21 +898,22 @@ impl ChannelWorker<'_> {
     fn apply_burst_faults(
         &mut self,
         burst: &Burst,
-        loc: &Location,
-        global_rank: usize,
-        cfg: &FaultConfig,
+        injector: &mut FaultInjector,
     ) -> Result<u64, FaultError> {
         if matches!(burst.locality, Locality::Broadcast | Locality::DirectSend) {
             // Bus-only transfers touch no DRAM array; their fault modes
             // (drops/corruption) live in the broadcast layer upstream.
             return Ok(0);
         }
+        let loc = &burst.loc;
+        let global_rank = self.global_rank(loc);
+        let bank = loc.bank_in_rank(self.config);
         let t = self.config.timing;
         let mut extra = 0u64;
 
         // --- Transient bit flips under SEC-DED (reads only). ---
         if burst.kind == RequestKind::Read {
-            let flips = self.injector_mut().next_read_flips();
+            let flips = injector.next_read_flips();
             if flips > 0 {
                 self.out.fault_stats.injected_bit_flips += u64::from(flips);
                 let mut outcome = ecc::outcome_for_flips(flips);
@@ -955,12 +931,13 @@ impl ChannelWorker<'_> {
                         }
                         EccOutcome::DetectedUncorrectable => {
                             self.out.fault_stats.ecc_detected += 1;
+                            let cfg = injector.config();
                             if attempt >= cfg.retry_limit {
                                 self.out.fault_stats.mem_errors += 1;
                                 return Err(MemError {
                                     request: burst.id.0 as u64,
                                     rank: global_rank,
-                                    bank: loc.bank_in_rank(self.config),
+                                    bank,
                                     row: loc.row,
                                     kind: MemErrorKind::UncorrectableEcc,
                                 }
@@ -971,7 +948,7 @@ impl ChannelWorker<'_> {
                             self.out.fault_stats.read_retries += 1;
                             extra += (cfg.retry_backoff_cycles << attempt) + t.t_cl + t.t_bl;
                             attempt += 1;
-                            let reflips = self.injector_mut().next_read_flips();
+                            let reflips = injector.next_read_flips();
                             if reflips > 0 {
                                 self.out.fault_stats.injected_bit_flips += u64::from(reflips);
                             }
@@ -983,23 +960,16 @@ impl ChannelWorker<'_> {
         }
 
         // --- Persistent stuck-at faults: remap to spares. ---
-        if self
-            .injector_ref()
-            .bank_is_failed(global_rank, loc.bank_in_rank(self.config))
-        {
+        if injector.bank_is_failed(global_rank, bank) {
             self.out.fault_stats.bank_remaps += 1;
             extra += t.t_rc;
-        } else if self.injector_ref().row_is_stuck(
-            global_rank,
-            loc.bank_in_rank(self.config),
-            loc.row,
-        ) {
+        } else if injector.row_is_stuck(global_rank, bank, loc.row) {
             self.out.fault_stats.row_remaps += 1;
             extra += t.t_rp + t.t_rcd;
         }
 
         // --- Transient rank-AU stalls. ---
-        let stall = self.injector_mut().next_stall_cycles(global_rank as u64);
+        let stall = injector.next_stall_cycles(global_rank as u64);
         if stall > 0 {
             self.out.fault_stats.stall_events += 1;
             self.out.fault_stats.stall_cycles += stall;
@@ -1972,35 +1942,39 @@ mod tests {
     #[test]
     fn thread_budget_does_not_change_results() {
         // Enough queued bursts to clear the spawn threshold, spread
-        // over every channel, with an active fault model so the
-        // per-channel injector lanes are exercised too.
-        let faults = FaultConfig {
+        // over every channel. The fault-free config detaches the
+        // injectors (the plain service path); the active one exercises
+        // the per-channel injector lanes and the fault pipeline.
+        let faulted = FaultConfig {
             seed: 11,
             bit_flip_rate: 0.002,
             stall_rate: 0.01,
             ..FaultConfig::off()
         };
-        let run_with = |threads: usize| {
-            crate::parallel::set_threads(threads);
-            let mut sys = MemorySystem::with_faults(DramConfig::default(), faults);
-            for i in 0..4096u64 {
-                if i % 3 == 0 {
-                    sys.enqueue(Request::write(i * 64, 64));
-                } else {
-                    sys.enqueue(Request::read(i * 64, 64));
+        for faults in [FaultConfig::off(), faulted] {
+            let run_with = |threads: usize| {
+                crate::parallel::set_threads(threads);
+                let mut sys = MemorySystem::with_faults(DramConfig::default(), faults);
+                for i in 0..4096u64 {
+                    if i % 3 == 0 {
+                        sys.enqueue(Request::write(i * 64, 64));
+                    } else {
+                        sys.enqueue(Request::read(i * 64, 64));
+                    }
                 }
-            }
-            let report = sys
-                .try_service_all()
-                .expect("low fault rates stay recoverable");
-            crate::parallel::set_threads(0);
-            report
-        };
-        let serial = run_with(1);
-        let threaded = run_with(4);
-        assert_eq!(serial.stats, threaded.stats);
-        assert_eq!(serial.faults, threaded.faults);
-        assert_eq!(serial.completions, threaded.completions);
+                let report = sys
+                    .try_service_all()
+                    .expect("low fault rates stay recoverable");
+                crate::parallel::set_threads(0);
+                report
+            };
+            let serial = run_with(1);
+            let threaded = run_with(4);
+            assert_eq!(serial.stats, threaded.stats);
+            assert_eq!(serial.faults, threaded.faults);
+            assert_eq!(serial.completions, threaded.completions);
+            assert_eq!(serial.completions.len(), 4096);
+        }
     }
 
     #[test]

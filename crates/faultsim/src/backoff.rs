@@ -13,18 +13,12 @@
 //!
 //! [`Backoff`] serves both: jitter fraction 0 reproduces the exact
 //! `base << attempt` (saturating, capped) sequence the simulators have
-//! always used, and a non-zero jitter draws from the same counter-mode
-//! splitmix64 stream the fault injector uses, so a seeded supervisor
-//! produces an identical respawn schedule on every run — testable
-//! without sleeping.
+//! always used, and a non-zero jitter hashes `(seed, draw index)`
+//! through the mixer the fault injector uses ([`crate::rng`]), so a
+//! seeded supervisor produces an identical respawn schedule on every
+//! run — testable without sleeping.
 
-/// splitmix64 finalizer (same mixer as [`crate::FaultInjector`]).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::rng::splitmix64;
 
 /// Capped exponential backoff with optional seeded jitter.
 ///

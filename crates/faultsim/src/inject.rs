@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::FaultConfig;
+use crate::rng;
 
 /// Disjoint decision streams. Each stream has its own event counter,
 /// so the schedule of one fault class is independent of how often the
@@ -54,14 +55,6 @@ impl HealthState {
             HealthState::Tripped => "tripped",
         }
     }
-}
-
-/// splitmix64 finalizer: a high-quality 64-bit mix.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The deterministic, seeded fault injector.
@@ -128,27 +121,8 @@ impl FaultInjector {
     /// Mix for the counter-indexed (stochastic) streams; includes the
     /// lane so parallel domains draw independent schedules.
     fn mix(&self, stream: u64, index: u64) -> u64 {
-        splitmix64(
-            self.config
-                .seed
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(splitmix64(
-                    stream ^ self.lane.wrapping_mul(0xD6E8_FEB8_6659_FD93),
-                ))
-                .wrapping_add(index.wrapping_mul(0x9FB2_1C65_1E98_DF25)),
-        )
-    }
-
-    /// Mix for the coordinate-keyed (persistent) streams; lane-blind so
-    /// the same physical component is faulty from every lane's view.
-    fn mix_persistent(&self, stream: u64, key: u64) -> u64 {
-        splitmix64(
-            self.config
-                .seed
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(splitmix64(stream))
-                .wrapping_add(key.wrapping_mul(0x9FB2_1C65_1E98_DF25)),
-        )
+        let key = stream ^ self.lane.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        rng::draw(self.config.seed, key, index)
     }
 
     /// A uniform draw in `[0, 1)` for `(stream, lane, index)`.
@@ -156,10 +130,11 @@ impl FaultInjector {
         (self.mix(stream, index) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// A uniform draw in `[0, 1)` for a persistent `(stream, key)` —
-    /// identical across lanes.
+    /// A uniform draw in `[0, 1)` for a persistent `(stream, key)`:
+    /// lane-blind, so the same physical component is faulty from every
+    /// lane's view.
     fn unit_persistent(&self, stream: u64, key: u64) -> f64 {
-        (self.mix_persistent(stream, key) >> 11) as f64 / (1u64 << 53) as f64
+        (rng::draw(self.config.seed, stream, key) >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Number of bit flips injected into the next read burst: usually
@@ -280,7 +255,7 @@ impl FaultInjector {
         let mut acc = 0u64;
         for i in 0..n {
             for stream in [STREAM_READ, STREAM_BROADCAST, STREAM_STALL, STREAM_SEVERITY] {
-                acc = splitmix64(acc ^ self.mix(stream, i));
+                acc = rng::splitmix64(acc ^ self.mix(stream, i));
             }
         }
         acc

@@ -8,9 +8,9 @@
 //!
 //! * **Deterministic schedules** — [`FaultInjector`] derives every
 //!   fault decision from a counter-mode hash of `(seed, stream,
-//!   event index)`, so the same seed produces a byte-identical fault
-//!   schedule on every run, and a zero-rate injector is exactly a
-//!   no-fault run.
+//!   event index)` ([`rng::draw`]), so the same seed produces a
+//!   byte-identical fault schedule on every run, and a zero-rate
+//!   injector is exactly a no-fault run.
 //! * **ECC** — a real Hamming SEC-DED (72,64) codec ([`ecc::encode`],
 //!   [`ecc::decode`]) plus the statistical per-burst outcome model the
 //!   simulators use on the hot path ([`ecc::outcome_for_flips`]):
@@ -35,6 +35,7 @@
 pub mod backoff;
 pub mod ecc;
 pub mod netem;
+pub mod rng;
 pub mod scenario;
 
 mod config;

@@ -6,13 +6,13 @@
 //! [`Netem::apply`], which either delivers it, drops it, flips one byte,
 //! duplicates it, or holds it back for a few frame slots. Every decision
 //! is a pure function of `(seed, stream, direction, frame index)`
-//! through the same splitmix64 finalizer the
-//! [`FaultInjector`](crate::FaultInjector) and
-//! [`Backoff`](crate::Backoff) use — no RNG state, no wall clock — so a
-//! scripted chaos run replays the *same* fault schedule on every
-//! execution. Hard partitions are windows over the per-direction frame
-//! counter: inside `[start, end)` every frame is black-holed, which is
-//! how a scenario scripts "this worker disappears mid-lease".
+//! through the counter-mode draw the
+//! [`FaultInjector`](crate::FaultInjector) uses ([`crate::rng`]) — no
+//! RNG state, no wall clock — so a scripted chaos run replays the
+//! *same* fault schedule on every execution. Hard partitions are
+//! windows over the per-direction frame counter: inside `[start, end)`
+//! every frame is black-holed, which is how a scenario scripts "this
+//! worker disappears mid-lease".
 //!
 //! Two invariants matter for the acceptance bar:
 //!
@@ -29,6 +29,7 @@
 //! directives via [`NetemConfig::from_scenario`]; an empty scenario
 //! yields an inactive config.
 
+use crate::rng;
 use crate::scenario::{NetDirective, Scenario};
 use std::collections::VecDeque;
 
@@ -149,14 +150,6 @@ pub enum Fate {
     Delay(u32),
 }
 
-/// splitmix64 finalizer (same mixer as the injector and scenarios).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The pure per-frame decision: identical inputs give identical fates
 /// on every host and every run.
 pub fn fate(cfg: &NetemConfig, stream: u64, dir: NetDir, frame_idx: u64) -> Fate {
@@ -165,12 +158,8 @@ pub fn fate(cfg: &NetemConfig, stream: u64, dir: NetDir, frame_idx: u64) -> Fate
             return Fate::Drop;
         }
     }
-    let h = splitmix64(
-        cfg.seed
-            .wrapping_mul(0xA24B_AED4_963E_E407)
-            .wrapping_add(splitmix64(stream.wrapping_add(dir.tag().rotate_left(32))))
-            .wrapping_add(frame_idx.wrapping_mul(0x9FB2_1C65_1E98_DF25)),
-    );
+    let key = stream.wrapping_add(dir.tag().rotate_left(32));
+    let h = rng::draw(cfg.seed, key, frame_idx);
     let roll = (h % 1000) as u16;
     let mut bound = cfg.drop_per_mille;
     if roll < bound {
@@ -178,7 +167,7 @@ pub fn fate(cfg: &NetemConfig, stream: u64, dir: NetDir, frame_idx: u64) -> Fate
     }
     bound = bound.saturating_add(cfg.corrupt_per_mille);
     if roll < bound {
-        return Fate::Corrupt(splitmix64(h));
+        return Fate::Corrupt(rng::splitmix64(h));
     }
     bound = bound.saturating_add(cfg.dup_per_mille);
     if roll < bound {

@@ -11,8 +11,8 @@
 //! traffic during a degraded window).
 //!
 //! Determinism follows the injector's discipline: optional timing
-//! jitter is drawn counter-mode from `(seed, event index)` via the
-//! same splitmix64 finalizer, so a scenario resolves to exactly one
+//! jitter is drawn counter-mode from `(seed, event index)` via
+//! [`crate::rng::draw`], so a scenario resolves to exactly one
 //! timeline per seed — no RNG state, no host dependence.
 //!
 //! ## On-disk format (`CHS1`)
@@ -58,14 +58,6 @@ pub const MAX_SCENARIO_EVENTS: usize = 4096;
 
 /// Decision stream tag for timing jitter ("CHAO").
 const STREAM_SCENARIO: u64 = 0x43_48_41_4F;
-
-/// splitmix64 finalizer (same mixer as [`crate::FaultInjector`]).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One scripted event, at its *nominal* (pre-jitter) time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -455,12 +447,7 @@ impl Scenario {
             return tick;
         }
         let amp = u64::from(self.jitter_per_mille.min(1000));
-        let draw = splitmix64(
-            self.seed
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(splitmix64(STREAM_SCENARIO))
-                .wrapping_add(index.wrapping_mul(0x9FB2_1C65_1E98_DF25)),
-        );
+        let draw = crate::rng::draw(self.seed, STREAM_SCENARIO, index);
         let span = 2 * amp + 1;
         let offset = (draw % span) as i64 - amp as i64;
         let shifted = (tick as i128) * (1000 + i128::from(offset)) / 1000;

@@ -328,19 +328,12 @@ pub fn render_reject(reason: &str) -> String {
 /// whose fingerprint differs was built against an incompatible cell API
 /// and is rejected at registration instead of producing wrong cells.
 pub fn fingerprint(experiments: &[&str]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for byte in PROTO_VERSION.to_le_bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
+    let mut bytes = PROTO_VERSION.to_le_bytes().to_vec();
     for name in experiments {
-        for &byte in name.as_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-        h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.push(0xff);
     }
-    h
+    checkpoint::fnv1a64(&bytes)
 }
 
 fn json_str(s: &str) -> String {
@@ -508,6 +501,17 @@ mod tests {
         assert_ne!(fingerprint(&["faults"]), fingerprint(&["faults", "serve"]));
         // Concatenation must not collide with separation.
         assert_ne!(fingerprint(&["ab", "c"]), fingerprint(&["a", "bc"]));
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_for_already_built_workers() {
+        // Workers compute this independently; a drift here would make
+        // every deployed worker fail registration.
+        assert_eq!(
+            fingerprint(crate::manifest::SUPPORTED_EXPERIMENTS),
+            0xb7fa_d85c_787e_91c2
+        );
+        assert_eq!(fingerprint(&["ab", "c"]), 0x3303_5ee9_39b5_7fca);
     }
 
     #[test]
