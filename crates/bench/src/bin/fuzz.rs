@@ -23,8 +23,8 @@
 //! 7. **frame** — remote-worker wire frames through
 //!    [`sweepd::wire::parse_frame`] and the handshake parsers
 //!    [`sweepd::wire::parse_hello`] / [`sweepd::wire::parse_reply`]
-//!    (oversized frames, over-cap tokens and worker names, invalid
-//!    UTF-8, mangled handshake envelopes).
+//!    (oversized frames, over-cap tokens and worker names, out-of-range
+//!    or mistyped pids, invalid UTF-8, mangled handshake envelopes).
 //!
 //! Each iteration takes a known-valid input, applies one randomly
 //! chosen structural mutation (bit flip, field overwrite with extreme
@@ -517,10 +517,10 @@ fn scenario_boundary() -> Boundary {
 ///
 /// Half the iterations are field-targeted at the codec's explicit
 /// limits: a frame past [`MAX_FRAME`] with no terminator, a hello
-/// token past [`MAX_TOKEN`], a worker name past [`MAX_WORKER_NAME`],
-/// and invalid UTF-8 inside an otherwise well-framed line. Every
-/// outcome must be a structured `WireError` or a clean `Incomplete` —
-/// never a panic.
+/// token past [`MAX_TOKEN`], a worker name past [`MAX_WORKER_NAME`], a
+/// hello `pid` past `u32::MAX`, negative, or a string, and invalid
+/// UTF-8 inside an otherwise well-framed line. Every outcome must be a
+/// structured `WireError` or a clean `Incomplete` — never a panic.
 fn frame_boundary() -> Boundary {
     use sweepd::wire::{self, MAX_FRAME, MAX_TOKEN, MAX_WORKER_NAME, PROTO_VERSION};
 
@@ -530,6 +530,7 @@ fn frame_boundary() -> Boundary {
             fingerprint: wire::fingerprint(&["faults"]),
             token,
             worker,
+            pid: 4242,
         })
         .into_bytes()
     };
@@ -551,7 +552,7 @@ fn frame_boundary() -> Boundary {
             let identity = if rng.below(2) == 0 {
                 mutate(rng, &mut bytes)
             } else {
-                match rng.below(4) {
+                match rng.below(5) {
                     0 => {
                         // Frame body past the cap, terminator never seen.
                         bytes = vec![b'a'; MAX_FRAME + 1 + rng.below(4096) as usize];
@@ -565,6 +566,18 @@ fn frame_boundary() -> Boundary {
                         // Worker name past the handshake cap.
                         let long = "w".repeat(MAX_WORKER_NAME + 1 + rng.below(64) as usize);
                         bytes = hello("s42".into(), long);
+                    }
+                    3 => {
+                        // Hello pid past u32, negative, or mistyped.
+                        let pid = match rng.below(3) {
+                            0 => (u64::from(u32::MAX) + 1 + rng.below(1 << 40)).to_string(),
+                            1 => format!("-{}", 1 + rng.below(1 << 20)),
+                            _ => "\"4242\"".to_string(),
+                        };
+                        let text = String::from_utf8_lossy(&valid_hello);
+                        bytes = text
+                            .replace("\"pid\":4242", &format!("\"pid\":{pid}"))
+                            .into_bytes();
                     }
                     _ => {
                         // Invalid UTF-8 inside the framed line.

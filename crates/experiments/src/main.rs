@@ -33,13 +33,12 @@
 //!                         cell over budget is cancelled cooperatively
 //!                         and journaled as a failed attempt instead of
 //!                         wedging the --jobs pool (default unbounded)
-//!   --worker              run as a supervised `sweepd` worker speaking
-//!                         the stdin/stdout JSONL cell protocol
-//!   --connect <addr>      run as a *remote* sweepd worker: dial the
-//!                         coordinator's --worker-listen port, register
-//!                         over the versioned handshake, and compute
-//!                         leased cells over TCP (no --sweep-dir needed;
-//!                         run commands carry the sweep coordinates)
+//!   --connect <addr>      run as a sweepd worker: dial the coordinator's
+//!                         --worker-listen port, register over the
+//!                         versioned handshake, and compute leased cells
+//!                         over TCP (no --sweep-dir needed; run commands
+//!                         carry the sweep coordinates). sweepd spawns
+//!                         its local workers this way too
 //!   --grid <exp>          print the experiment's cell grid as JSON and
 //!                         exit (the coordinator's shard list)
 //!   --heartbeat-ms <n>    worker liveness heartbeat period (default 100)
@@ -111,8 +110,7 @@ fn usage() {
     eprintln!("  --resume <dir>        resume a journaled sweep from <dir>");
     eprintln!("  --ckpt-interval <n>   in-run checkpoint granularity (default 256)");
     eprintln!("  --cell-timeout <s>    per-cell wall-clock budget in seconds (default unbounded)");
-    eprintln!("  --worker              run as a supervised sweepd worker (stdin/stdout JSONL)");
-    eprintln!("  --connect <addr>      run as a remote sweepd worker over TCP");
+    eprintln!("  --connect <addr>      run as a sweepd worker dialing its worker listener");
     eprintln!("  --grid <exp>          print the experiment's cell grid as JSON and exit");
     eprintln!("  --heartbeat-ms <n>    worker liveness heartbeat period (default 100)");
 }
@@ -134,7 +132,6 @@ fn main() -> ExitCode {
     let mut resume = false;
     let mut ckpt_interval: u64 = 256;
     let mut cell_timeout: Option<std::time::Duration> = None;
-    let mut worker_mode = false;
     let mut connect: Option<String> = None;
     let mut grid_exp: Option<String> = None;
     let mut heartbeat_ms: u64 = 100;
@@ -143,7 +140,6 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--deterministic-metrics" => deterministic_metrics = true,
-            "--worker" => worker_mode = true,
             "--metrics-out" | "--trace-out" | "--sweep-dir" | "--resume" | "--connect" => {
                 let Some(path) = it.next() else {
                     eprintln!("{arg} requires an argument");
@@ -210,7 +206,7 @@ fn main() -> ExitCode {
             _ => experiments.push(arg),
         }
     }
-    if !worker_mode && connect.is_none() && grid_exp.is_none() && experiments.is_empty() {
+    if connect.is_none() && grid_exp.is_none() && experiments.is_empty() {
         usage();
         return ExitCode::from(2);
     }
@@ -260,31 +256,16 @@ fn main() -> ExitCode {
         };
     }
 
-    // Supervised worker mode: speak the sweepd cell protocol until
-    // stdin EOF or an exit command; a drain mid-cell exits 3.
-    if worker_mode {
-        if cx.sweep.is_none() {
-            eprintln!("--worker requires --sweep-dir <dir>");
-            return ExitCode::from(2);
-        }
-        return match worker::run_worker(&cx, heartbeat_ms) {
-            Ok(code) => ExitCode::from(code),
-            Err(e) => {
-                eprintln!("worker failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // Remote worker mode: dial the coordinator's worker port and
-    // compute leased cells over TCP. No --sweep-dir needed — run
-    // commands carry the sweep coordinates.
+    // Worker mode: dial the coordinator's worker port and compute
+    // leased cells over TCP until an exit command; a drain mid-cell
+    // exits 3. No --sweep-dir needed — run commands carry the sweep
+    // coordinates.
     if let Some(addr) = &connect {
         sweep::install_signal_handlers();
         return match worker::run_remote_worker(&cx, addr, heartbeat_ms) {
             Ok(code) => ExitCode::from(code),
             Err(e) => {
-                eprintln!("remote worker failed: {e}");
+                eprintln!("worker failed: {e}");
                 ExitCode::FAILURE
             }
         };

@@ -1,46 +1,24 @@
-//! `sweepd` worker mode: a supervised child process that computes
-//! sweep cells on demand.
+//! `sweepd` worker mode (`--connect <addr>`): a worker process that
+//! computes sweep cells on demand.
 //!
-//! The coordinator (`sweepd`) spawns `metanmp-experiments --worker
-//! --sweep-dir <dir> --seed <s>` and speaks newline-delimited JSON
-//! over the child's stdin/stdout:
+//! The worker dials the coordinator's worker port — `sweepd` spawns
+//! `metanmp-experiments --connect <addr>` into its local slots, and the
+//! same command joins from any other host — registers with a
+//! [`sweepd::wire`] hello (protocol version, experiment-set
+//! fingerprint, session token, its name `w-tcp-<pid>` and its pid), and
+//! then speaks newline-delimited JSON over the framed TCP stream:
 //!
-//! * coordinator → worker: `{"op":"run","exp":"faults","key":"..."}`
-//!   runs one cell; `{"op":"exit"}` (or stdin EOF) ends the worker.
-//! * worker → coordinator: `{"ev":"ready","pid":…}` once at startup;
-//!   `{"ev":"hb","seq":…}` every `--heartbeat-ms` for liveness (the
-//!   heartbeat thread runs from startup, so an idle worker proves
-//!   liveness too); `{"ev":"done","key":…,"hash":…,"result":…}` with
-//!   the cell's result JSON (the exact bytes an in-process sweep would
-//!   journal); `{"ev":"err",…}` for a failed cell;
-//!   `{"ev":"interrupted",…}` before a drain exit.
+//! * coordinator → worker:
+//!   `{"op":"run","exp":"faults","key":…,"gen":…,"dir":…,"seed":…,"ckpt_interval":…}`
+//!   runs one cell; `{"op":"exit"}` ends the worker.
+//! * worker → coordinator: `{"ev":"hb","seq":…}` every
+//!   `--heartbeat-ms` for liveness (idle workers prove liveness too);
+//!   `{"ev":"done","key":…,"hash":…,"result":…,"gen":…}` with the cell's
+//!   result JSON (the exact bytes an in-process sweep would journal);
+//!   `{"ev":"err",…}` for a failed cell; `{"ev":"interrupted",…}`
+//!   before a drain exit.
 //!
-//! Every stdout line is written and flushed under one lock, so events
-//! never tear even though the heartbeat thread runs concurrently with
-//! cell completion messages.
-//!
-//! Robustness contract: the worker checkpoints in-flight cells under
-//! `<sweep-dir>/inflight-<key>.ckpt` (the standard sweep mechanism),
-//! so a worker killed mid-cell — `kill -9` included — loses no more
-//! than one checkpoint chunk, and the re-leased cell resumes
-//! byte-identically on any other worker pointed at the same directory.
-//! SIGTERM drains cooperatively: the in-flight cell stops at its next
-//! chunk boundary, persists, and the worker exits 3 ("interrupted,
-//! resumable").
-//!
-//! `--grid <exp>` is the companion one-shot mode: it prints the
-//! experiment's cell grid (keys, per-cell config hashes, the sweep
-//! hash for the journal header) as one JSON line and exits, giving the
-//! coordinator the shard list without hard-coding any experiment
-//! knowledge.
-//!
-//! # Remote mode (`--connect <addr>`)
-//!
-//! Instead of being spawned by the coordinator, the worker dials its
-//! worker port, registers with a [`sweepd::wire`] hello (protocol
-//! version, experiment-set fingerprint, session token), and then
-//! speaks the same JSONL protocol over the framed TCP stream. Remote
-//! run commands are self-contained — they carry the sweep directory,
+//! Run commands are self-contained — they carry the sweep directory,
 //! seed, and checkpoint interval — so the worker (re)binds its cell
 //! context per command and a delayed or reordered frame can never
 //! leave it mis-bound. Every run carries a fence generation that the
@@ -50,8 +28,23 @@
 //! still-live slot resumes (the welcome names any held lease, and a
 //! completion that failed to send is retransmitted), a reaped slot
 //! registers fresh.
+//!
+//! Robustness contract: the worker checkpoints in-flight cells under
+//! `<dir>/inflight-<key>.ckpt` (the standard sweep mechanism), so a
+//! worker killed mid-cell — `kill -9` included — loses no more than one
+//! checkpoint chunk, and the re-leased cell resumes byte-identically on
+//! any other worker pointed at the same directory. SIGTERM drains
+//! cooperatively: the in-flight cell stops at its next chunk boundary,
+//! persists, and the worker exits 3 ("interrupted, resumable"); an idle
+//! worker notices the signal within one read timeout.
+//!
+//! `--grid <exp>` is the companion one-shot mode: it prints the
+//! experiment's cell grid (keys, per-cell config hashes, the sweep
+//! hash for the journal header) as one JSON line and exits, giving the
+//! coordinator the shard list without hard-coding any experiment
+//! knowledge.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,10 +60,9 @@ use crate::{faults, sweep};
 /// errors, not fatal: a coordinator newer than the worker degrades to
 /// structured failures instead of a wedged fleet.
 ///
-/// `gen` is the lease fence echoed back on done/err. The trailing
-/// fields arrive only on remote run commands, which are self-contained
-/// (sweep directory, seed, checkpoint interval) so the worker needs no
-/// separate bind step.
+/// `gen` is the lease fence echoed back on done/err. Run commands are
+/// self-contained (sweep directory, seed, checkpoint interval) so the
+/// worker needs no separate bind step.
 #[derive(Deserialize, Debug)]
 struct WireCmd {
     op: String,
@@ -80,12 +72,6 @@ struct WireCmd {
     dir: Option<String>,
     seed: Option<u64>,
     ckpt_interval: Option<u64>,
-}
-
-#[derive(Serialize)]
-struct ReadyEv {
-    ev: String,
-    pid: u64,
 }
 
 #[derive(Serialize)]
@@ -141,19 +127,6 @@ pub struct GridDoc {
     pub cells: Vec<GridCell>,
 }
 
-/// Writes one protocol line to stdout and flushes it (stdout is a pipe
-/// under `sweepd`, so unflushed heartbeats would never arrive).
-fn emit<T: Serialize>(msg: &T) {
-    let line = serde_json::to_string(msg).unwrap_or_else(|e| {
-        // A protocol struct that fails to serialize is a programming
-        // error; surface it as a line the coordinator rejects.
-        format!("{{\"ev\":\"err\",\"key\":\"\",\"error\":\"serialize: {e}\"}}")
-    });
-    let mut out = std::io::stdout().lock();
-    let _ = writeln!(out, "{line}");
-    let _ = out.flush();
-}
-
 /// The experiments that expose a distributed cell API, by name.
 ///
 /// Each entry maps to the experiment's `worker_grid` /
@@ -193,97 +166,7 @@ pub fn print_grid(cx: &Ctx, exp: &str) -> ExpResult {
     Ok(())
 }
 
-/// `--worker`: the supervised worker loop. Returns `Ok(exit_code)` so
-/// `main` can map a drain to the "interrupted, resumable" code 3.
-pub fn run_worker(cx: &Ctx, heartbeat_ms: u64) -> Result<u8, ExpError> {
-    // Liveness heartbeat from startup: the supervisor's deadline check
-    // must see beats while the worker is idle, computing, or draining.
-    static HB_SEQ: AtomicU64 = AtomicU64::new(0);
-    std::thread::spawn(move || loop {
-        std::thread::sleep(std::time::Duration::from_millis(heartbeat_ms.max(1)));
-        emit(&HbEv {
-            ev: "hb".into(),
-            seq: HB_SEQ.fetch_add(1, Ordering::Relaxed),
-        });
-    });
-    emit(&ReadyEv {
-        ev: "ready".into(),
-        pid: u64::from(std::process::id()),
-    });
-
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.ctx("worker: reading command")?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cmd: WireCmd = match serde_json::from_str(&line) {
-            Ok(c) => c,
-            Err(e) => {
-                emit(&ErrEv {
-                    ev: "err".into(),
-                    key: String::new(),
-                    error: format!("malformed command: {e}"),
-                    gen: None,
-                });
-                continue;
-            }
-        };
-        match cmd.op.as_str() {
-            "exit" => return Ok(0),
-            "run" => {
-                let (Some(exp), Some(key)) = (cmd.exp.as_deref(), cmd.key.as_deref()) else {
-                    emit(&ErrEv {
-                        ev: "err".into(),
-                        key: cmd.key.unwrap_or_default(),
-                        error: "run command needs exp and key".into(),
-                        gen: cmd.gen,
-                    });
-                    continue;
-                };
-                match run_cell(cx, exp, key) {
-                    Ok((hash, result)) => emit(&DoneEv {
-                        ev: "done".into(),
-                        key: key.to_string(),
-                        hash,
-                        result,
-                        gen: cmd.gen,
-                    }),
-                    Err(ExpError::Interrupted { .. }) => {
-                        // Drain requested mid-cell: the in-flight
-                        // checkpoint is persisted; tell the
-                        // coordinator and exit resumable.
-                        emit(&InterruptedEv {
-                            ev: "interrupted".into(),
-                            key: key.to_string(),
-                        });
-                        return Ok(3);
-                    }
-                    Err(e) => emit(&ErrEv {
-                        ev: "err".into(),
-                        key: key.to_string(),
-                        error: e.to_string(),
-                        gen: cmd.gen,
-                    }),
-                }
-            }
-            other => emit(&ErrEv {
-                ev: "err".into(),
-                key: String::new(),
-                error: format!("unknown op {other:?}"),
-                gen: None,
-            }),
-        }
-        if sweep::interrupted() {
-            return Ok(3);
-        }
-    }
-    // stdin EOF: the coordinator is gone (or closed us out); exit
-    // cleanly — any in-flight state is already checkpointed.
-    Ok(if sweep::interrupted() { 3 } else { 0 })
-}
-
-/// The experiments this worker offers over the remote cell protocol.
+/// The experiments this worker offers over the cell protocol.
 /// The registration fingerprint is computed over this list; a
 /// coordinator whose `sweepd::manifest::SUPPORTED_EXPERIMENTS` differs
 /// rejects the hello instead of leasing cells the worker cannot run.
@@ -321,7 +204,7 @@ enum DialError {
 /// Writes one protocol line through the shared connection writer (the
 /// heartbeat thread and the command loop interleave whole lines only).
 fn send_frame(writer: &Mutex<TcpStream>, line: &str) -> std::io::Result<()> {
-    let mut s = writer.lock().expect("remote writer");
+    let mut s = writer.lock().expect("link writer");
     s.write_all(line.as_bytes())?;
     s.write_all(b"\n")?;
     s.flush()
@@ -351,6 +234,7 @@ fn dial(
         fingerprint,
         token: token.to_string(),
         worker: name.to_string(),
+        pid: std::process::id(),
     };
     stream
         .write_all(wire::render_hello(&hello).as_bytes())
@@ -379,10 +263,10 @@ fn dial(
     }
 }
 
-/// `--connect <addr>`: the remote worker loop. Dials the coordinator,
+/// `--connect <addr>`: the worker loop. Dials the coordinator,
 /// registers, computes leased cells until told to exit, and redials
 /// lost connections with its session token. Returns `Ok(exit_code)`
-/// like [`run_worker`] (3 = interrupted, resumable).
+/// so `main` can map a drain to the "interrupted, resumable" code 3.
 ///
 /// # Errors
 ///
@@ -554,7 +438,7 @@ fn command_loop(
     }
 }
 
-/// Applies one remote command line. `Ok(Some(end))` ends the session,
+/// Applies one command line. `Ok(Some(end))` ends the session,
 /// `Err(())` means the link died mid-send.
 fn handle_command(
     cx: &Ctx,
@@ -604,7 +488,7 @@ fn handle_command(
                 send_err(
                     writer,
                     cmd.key.unwrap_or_default(),
-                    "remote run command needs exp/key/dir/seed/ckpt_interval".into(),
+                    "run command needs exp/key/dir/seed/ckpt_interval".into(),
                     cmd.gen,
                 )?;
                 return Ok(None);

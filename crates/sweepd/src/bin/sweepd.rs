@@ -8,7 +8,9 @@
 //!                                metanmp-experiments binary); repeatable
 //!                                to pass leading arguments
 //!   --listen <addr>              bind address (default 127.0.0.1:7377)
-//!   --workers <n>                worker slots (default 2)
+//!   --workers <n>                local worker slots, spawned as
+//!                                `--connect` children (default 2; 0 =
+//!                                remote-only fleet)
 //!   --state-dir <dir>            per-sweep state root (default ./sweepd-state)
 //!   --heartbeat-ms <n>           worker heartbeat period (default 100)
 //!   --heartbeat-deadline-ms <n>  liveness deadline (default 2000)
@@ -22,24 +24,25 @@
 //!   --backoff-seed <u64>         jitter seed for worker respawn backoff
 //!   --drain-grace-ms <n>         SIGTERM→SIGKILL escalation window for
 //!                                draining workers (default 10000)
-//!   --worker-listen <addr>       also accept remote workers over TCP on
-//!                                this address (off by default)
+//!   --worker-listen <addr>       worker listener every worker dials,
+//!                                spawned or remote (default 127.0.0.1:0)
 //!   --netem <file>               CHS1 scenario whose net* directives
 //!                                script deterministic network faults on
-//!                                remote worker links
+//!                                worker links
 //! ```
 //!
 //! Exit codes follow the repo contract: 0 = drained with all sweeps
 //! finished, 3 = drained with resumable work remaining (rerun workers
 //! against the surviving state directories), 2 = usage, 1 = failure.
 //!
-//! SIGINT/SIGTERM begin a graceful drain: leasing stops, workers are
-//! SIGTERMed so in-flight cells persist their checkpoints, and the
-//! daemon exits once the fleet is reaped.
+//! SIGINT/SIGTERM begin a graceful drain: leasing stops, every worker
+//! gets the exit op and every spawned child SIGTERM, so in-flight cells
+//! persist their checkpoints, and the daemon exits once the fleet is
+//! reaped.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sweepd::{server, Daemon, DaemonConfig};
@@ -69,7 +72,7 @@ fn install_signal_handlers() {}
 fn usage() {
     eprintln!("usage: sweepd --worker-cmd <path> [OPTIONS]");
     eprintln!("  --listen <addr>              bind address (default 127.0.0.1:7377)");
-    eprintln!("  --workers <n>                worker slots (default 2)");
+    eprintln!("  --workers <n>                local worker slots (default 2)");
     eprintln!("  --state-dir <dir>            state root (default ./sweepd-state)");
     eprintln!("  --heartbeat-ms <n>           worker heartbeat period (default 100)");
     eprintln!("  --heartbeat-deadline-ms <n>  liveness deadline (default 2000)");
@@ -79,8 +82,8 @@ fn usage() {
     eprintln!("  --ckpt-interval <n>          checkpoint granularity (default 256)");
     eprintln!("  --backoff-seed <u64>         respawn backoff jitter seed");
     eprintln!("  --drain-grace-ms <n>         drain escalation window (default 10000)");
-    eprintln!("  --worker-listen <addr>       accept remote TCP workers on this address");
-    eprintln!("  --netem <file>               CHS1 net* scenario for remote-link faults");
+    eprintln!("  --worker-listen <addr>       worker listener (default 127.0.0.1:0)");
+    eprintln!("  --netem <file>               CHS1 net* scenario for worker-link faults");
 }
 
 fn main() -> ExitCode {
@@ -91,7 +94,7 @@ fn main() -> ExitCode {
     }
 
     let mut listen = "127.0.0.1:7377".to_string();
-    let mut worker_listen: Option<String> = None;
+    let mut worker_listen = "127.0.0.1:0".to_string();
     let mut worker_cmd: Vec<String> = Vec::new();
     let mut cfg = DaemonConfig::new(Vec::new(), "sweepd-state".into());
     let mut it = args.into_iter();
@@ -141,7 +144,7 @@ fn main() -> ExitCode {
             "--backoff-seed" => cfg.backoff_seed = next_u64!(),
             "--drain-grace-ms" => cfg.drain_grace = Duration::from_millis(next_u64!()),
             "--worker-listen" => match next("an address") {
-                Ok(v) => worker_listen = Some(v),
+                Ok(v) => worker_listen = v,
                 Err(code) => return code,
             },
             "--netem" => match next("a CHS1 scenario file") {
@@ -187,17 +190,29 @@ fn main() -> ExitCode {
     install_signal_handlers();
     let daemon = Daemon::new(cfg);
 
-    if let Some(addr) = worker_listen {
+    // The worker listener is bound before the first tick, so every
+    // spawn has an address to pass.
+    let (bound_tx, bound_rx) = mpsc::channel();
+    {
         let daemon = Arc::clone(&daemon);
+        let addr = worker_listen.clone();
         std::thread::spawn(move || {
-            let served = sweepd::remote::serve_workers(Arc::clone(&daemon), &addr, |bound| {
-                eprintln!("sweepd: workers on {bound}");
+            let on_bound = bound_tx.clone();
+            let served = sweepd::remote::serve_workers(daemon, &addr, move |bound| {
+                let _ = on_bound.send(Ok(bound));
             });
             if let Err(e) = served {
-                eprintln!("sweepd: failed to bind worker listener {addr}: {e}");
-                daemon.begin_drain();
+                let _ = bound_tx.send(Err(e));
             }
         });
+    }
+    match bound_rx.recv() {
+        Ok(Ok(bound)) => eprintln!("sweepd: workers on {bound}"),
+        Ok(Err(e)) => {
+            eprintln!("sweepd: failed to bind worker listener {worker_listen}: {e}");
+            return ExitCode::FAILURE;
+        }
+        Err(_) => return ExitCode::FAILURE,
     }
 
     // Supervisor loop: forwards the signal flag into a drain and ticks

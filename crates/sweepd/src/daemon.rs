@@ -3,35 +3,40 @@
 //!
 //! # Supervision model
 //!
-//! The daemon owns a fleet of worker *slots*. A slot holds at most one
-//! live worker link — either an `experiments` child running in
-//! `--worker` mode (spawned locally, spoken to over stdin/stdout
-//! pipes), or a *remote* worker that dialed the daemon's worker port
-//! and completed the [`crate::wire`] registration handshake (spoken to
-//! over a framed TCP stream). Local slots are fixed at startup; remote
-//! slots are appended as workers register and are never respawned by
-//! the daemon — a remote worker that dies simply redials. Each link's
-//! read side is drained by a dedicated reader thread that timestamps
-//! every delivered line (heartbeats included) and forwards protocol
-//! events to the supervisor over a channel.
+//! The daemon owns a fleet of worker *slots*. Every worker reaches the
+//! daemon the same way: it dials the worker listener, completes the
+//! [`crate::wire`] registration handshake, and then speaks JSONL over
+//! the framed TCP stream. *Local* slots are fixed at startup; the
+//! daemon spawns `metanmp-experiments --connect <listener>` into them
+//! and respawns them under backoff. A registration from this host whose
+//! hello `pid` matches a spawned child still waiting for its link
+//! attaches to that child's slot; every other registration appends a
+//! *remote* slot, which the daemon never respawns — a remote worker
+//! that dies simply redials. Each link's read side is drained by a
+//! dedicated reader thread that timestamps every delivered frame
+//! (heartbeats included) and forwards protocol events to the
+//! supervisor over a channel.
 //!
 //! The supervision tick, run every few tens of milliseconds:
 //!
 //! 1. applies worker events (completions journaled idempotently,
 //!    errors charged against the cell's retry budget),
-//! 2. declares workers dead when their last output line is older than
-//!    the heartbeat deadline, and cancels leases older than the cell's
+//! 2. declares workers dead when their last frame is older than the
+//!    heartbeat deadline (a spawned child that has not registered
+//!    within it counts too), and cancels leases older than the cell's
 //!    wall-clock budget,
 //! 3. reaps exited children; a death while holding a lease journals a
 //!    [`FailRecord`] and returns the cell to the pending queue —
 //!    *crash migration*: the next lease (any healthy worker) resumes
 //!    from the cell's `inflight-<key>.ckpt` byte-identically,
 //! 4. sheds the lowest-priority sweeps (structured reason, never
-//!    silent) while the live fleet is below the floor,
+//!    silent) while fewer slots than the floor are up,
 //! 5. advances sweep lifecycle (all cells done → optional finalize
 //!    pass producing the standard artifacts),
-//! 6. leases pending cells to idle workers and respawns dead slots
-//!    under jittered exponential backoff.
+//! 6. spawns empty local slots past their jittered exponential backoff
+//!    while work is pending,
+//! 7. leases pending cells to idle registered workers — or, once a
+//!    drain has begun, signals and reaps the fleet instead of 6–7.
 //!
 //! # Lease fencing
 //!
@@ -45,13 +50,12 @@
 //! resume (see `checkpoint::manifest`), so fencing holds even across a
 //! daemon restart.
 //!
-//! # Remote liveness and reconnection
+//! # Liveness and reconnection
 //!
-//! Remote links share the heartbeat deadline with local workers: the
-//! reader thread timestamps each *delivered* frame, so a network
+//! The reader thread timestamps each *delivered* frame, so a network
 //! partition (or a scripted [`faultsim::Netem`] partition window)
 //! starves the timestamp exactly like a hung process and triggers the
-//! same crash-migration path. A remote worker that lost its connection
+//! same crash-migration path. A worker that lost its connection
 //! redials with its session token: if its slot is still live, the link
 //! is re-attached in place (a new generation invalidates the stale
 //! reader) and the welcome names any still-held lease so the worker
@@ -65,10 +69,10 @@
 //! replays a daemon-run sweep into byte-identical `results/` artifacts.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::io::{Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -83,25 +87,20 @@ use serde::{Deserialize, Serialize};
 use crate::manifest::SweepManifest;
 use crate::wire;
 
-/// Worker-identity prefix used in lease records and status views for
-/// locally spawned workers (remote workers name themselves in their
-/// registration hello).
-fn worker_name(slot: usize) -> String {
-    format!("w-{slot}")
-}
-
 /// Daemon-wide configuration, fixed at startup.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Worker command prefix (the experiments binary, or a stand-in
     /// under test); mode flags are appended per invocation.
     pub worker_cmd: Vec<String>,
-    /// Local worker slots in the fleet. Zero is allowed: a daemon can
-    /// run entirely on remote workers attached over TCP.
+    /// Local worker slots in the fleet, spawned as `--connect` children
+    /// of the worker listener. Zero is allowed: a daemon can run
+    /// entirely on remote workers that dial in from other hosts.
     pub workers: usize,
     /// Root directory for per-sweep state (`<state_dir>/sweep-<id>/`).
     pub state_dir: PathBuf,
-    /// A worker whose last output line is older than this is dead.
+    /// A worker whose last frame is older than this is dead; a spawned
+    /// child must register within it.
     pub heartbeat_deadline: Duration,
     /// Heartbeat period passed to workers via `--heartbeat-ms`.
     pub heartbeat_ms: u64,
@@ -122,9 +121,10 @@ pub struct DaemonConfig {
     /// How long a drain waits for workers to persist and exit before
     /// escalating to SIGKILL.
     pub drain_grace: Duration,
-    /// Scripted network-fault schedule applied to remote worker links
-    /// (`net*` directives; an empty scenario is a byte-exact no-op).
-    /// Streams are numbered in registration order, starting at 0.
+    /// Scripted network-fault schedule applied to worker links, spawned
+    /// workers included (`net*` directives; an empty scenario is a
+    /// byte-exact no-op). Streams are numbered in registration order,
+    /// starting at 0.
     pub netem: Scenario,
 }
 
@@ -253,13 +253,12 @@ impl Sweep {
     }
 }
 
-/// Events parsed off a worker's output by its reader thread. `gen` is
+/// Events parsed off a worker's link by its reader thread. `gen` is
 /// the fence generation echoed from the run command; events from
 /// workers predating the fencing protocol carry `None` and fall back
 /// to the slot-generation guard alone.
 #[derive(Debug)]
 enum WorkerEvent {
-    Ready,
     Done {
         key: String,
         result: String,
@@ -281,9 +280,6 @@ fn parse_event(line: &str) -> Option<WorkerEvent> {
     let get_str = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
     let gen = v.get("gen").and_then(Value::as_u64);
     match v.get("ev").and_then(Value::as_str)? {
-        // The spawned child's pid is already known from `Child::id`;
-        // the ready line only proves the protocol came up.
-        "ready" => Some(WorkerEvent::Ready),
         "done" => Some(WorkerEvent::Done {
             key: get_str("key")?,
             result: get_str("result")?,
@@ -298,7 +294,7 @@ fn parse_event(line: &str) -> Option<WorkerEvent> {
             key: get_str("key")?,
         }),
         // Heartbeats carry no payload the supervisor needs: the reader
-        // thread already timestamped the line.
+        // thread already timestamped the frame.
         _ => None,
     }
 }
@@ -312,172 +308,187 @@ struct LeaseInfo {
     gen: u64,
 }
 
-/// The write side of a worker: a local child process or a remote TCP
-/// link.
-enum Link {
-    /// Locally spawned `--worker` child over stdin/stdout pipes.
-    Child {
-        child: Child,
-        pid: u32,
-        stdin: ChildStdin,
-    },
-    /// Remote worker attached via the registration handshake.
-    Remote {
-        writer: TcpStream,
-        /// Session token the worker redials with.
-        session: String,
-        /// Worker-chosen identity from the hello (lease records).
-        name: String,
-        /// Netem stream id (registration order), kept across resumes.
-        stream: u64,
-        /// Coordinator-side egress fault injector, when active.
-        netem: Option<Netem>,
-    },
+/// A registered worker's TCP link (the write side; a reader thread
+/// owns a clone of the stream).
+struct Link {
+    writer: TcpStream,
+    /// Session token the worker redials with.
+    session: String,
+    /// Worker-chosen identity from the hello (lease records).
+    name: String,
+    /// OS pid from the hello (0 when the worker omits it).
+    pid: u32,
+    /// Netem stream id (registration order), kept across resumes.
+    stream: u64,
+    /// Coordinator-side egress fault injector, when active.
+    netem: Option<Netem>,
 }
 
 struct Proc {
-    link: Link,
-    /// Updated by the reader thread on every delivered line.
+    /// `None` while a spawned child has not registered yet.
+    link: Option<Link>,
+    /// The process behind a slot this daemon spawned.
+    child: Option<Child>,
+    /// Updated by the reader thread on every delivered frame; a spawned
+    /// child's spawn time until it registers.
     last_line: Arc<Mutex<Instant>>,
     /// Generation guard: events from a previous incarnation of this
-    /// slot (or a superseded remote connection) are ignored.
+    /// slot (or a superseded connection) are ignored.
     gen: u64,
-    /// Sweep the worker is currently bound to (0 = none yet).
-    bound_sweep: u64,
     lease: Option<LeaseInfo>,
     drain_signaled: bool,
 }
 
 impl Proc {
-    fn is_remote(&self) -> bool {
-        matches!(self.link, Link::Remote { .. })
-    }
-
-    fn pid(&self) -> u32 {
-        match &self.link {
-            Link::Child { pid, .. } => *pid,
-            Link::Remote { .. } => 0,
+    /// A worker with no link yet: a just-spawned child, or a slot about
+    /// to take a registration.
+    fn new(child: Option<Child>, gen: u64) -> Self {
+        Proc {
+            link: None,
+            child,
+            last_line: Arc::new(Mutex::new(Instant::now())),
+            gen,
+            lease: None,
+            drain_signaled: false,
         }
     }
 
     fn session(&self) -> Option<&str> {
+        self.link.as_ref().map(|l| l.session.as_str())
+    }
+
+    /// Identity in lease records and failure reasons: the hello name,
+    /// or the child's pid while a spawned worker has not registered.
+    fn name(&self) -> String {
         match &self.link {
-            Link::Child { .. } => None,
-            Link::Remote { session, .. } => Some(session),
+            Some(link) => link.name.clone(),
+            None => self
+                .child
+                .as_ref()
+                .map_or_else(String::new, |c| format!("pid {}", c.id())),
         }
     }
 
-    fn display_name(&self, idx: usize) -> String {
-        match &self.link {
-            Link::Child { .. } => worker_name(idx),
-            Link::Remote { name, .. } => name.clone(),
-        }
-    }
-
-    /// Sends one protocol line. Remote frames pass through the egress
-    /// fault injector, so a scripted drop silently loses the command —
+    /// Sends one protocol line. Frames pass through the egress fault
+    /// injector, so a scripted drop silently loses the command —
     /// exactly the failure the lease timeouts exist to absorb.
     fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        match &mut self.link {
-            Link::Child { stdin, .. } => writeln!(stdin, "{line}").and_then(|()| stdin.flush()),
-            Link::Remote { writer, netem, .. } => {
-                let frames = match netem.as_mut() {
-                    Some(n) => n.apply(line.as_bytes().to_vec()),
-                    None => vec![line.as_bytes().to_vec()],
-                };
-                for f in frames {
-                    writer.write_all(&f)?;
-                    writer.write_all(b"\n")?;
-                }
-                writer.flush()
-            }
+        let Some(Link { writer, netem, .. }) = self.link.as_mut() else {
+            return Err(std::io::ErrorKind::NotConnected.into());
+        };
+        let frames = match netem.as_mut() {
+            Some(n) => n.apply(line.as_bytes().to_vec()),
+            None => vec![line.as_bytes().to_vec()],
+        };
+        for f in frames {
+            writer.write_all(&f)?;
+            writer.write_all(b"\n")?;
         }
+        writer.flush()
     }
 
     /// Releases egress frames whose scripted delay has elapsed (quiet
     /// links would otherwise hold them forever).
     fn pump_egress(&mut self) {
-        if let Link::Remote { writer, netem, .. } = &mut self.link {
-            if let Some(n) = netem.as_mut() {
-                for f in n.tick() {
-                    if writer
-                        .write_all(&f)
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .is_err()
-                    {
-                        return;
-                    }
+        if let Some(Link {
+            writer,
+            netem: Some(n),
+            ..
+        }) = self.link.as_mut()
+        {
+            for f in n.tick() {
+                if writer
+                    .write_all(&f)
+                    .and_then(|()| writer.write_all(b"\n"))
+                    .is_err()
+                {
+                    return;
                 }
-                let _ = writer.flush();
             }
+            let _ = writer.flush();
         }
     }
 
-    /// Hard-stops the link: kill + reap a child, shut down a socket.
+    /// Hard-stops the worker: kill + reap a spawned child, shut down
+    /// the socket.
     fn terminate(&mut self) {
-        match &mut self.link {
-            Link::Child { child, .. } => {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            Link::Remote { writer, .. } => {
-                let _ = writer.shutdown(Shutdown::Both);
-            }
+        if let Some(child) = self.child.as_mut() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        if let Some(link) = &self.link {
+            let _ = link.writer.shutdown(Shutdown::Both);
         }
     }
 
-    /// Non-blocking exit check (local children only; remote workers
+    /// Non-blocking exit check (spawned children only; other workers
     /// are reaped via heartbeat expiry or EOF).
     fn try_reap(&mut self) -> Option<ExitStatus> {
-        match &mut self.link {
-            Link::Child { child, .. } => child.try_wait().ok().flatten(),
-            Link::Remote { .. } => None,
-        }
+        self.child.as_mut()?.try_wait().ok().flatten()
     }
 
-    /// Best-effort cooperative cancellation of the in-flight cell.
-    /// Locals get SIGTERM; a remote worker cannot be preempted — its
-    /// eventual stale completion is fenced instead.
+    /// Best-effort cooperative cancellation of the in-flight cell: a
+    /// spawned child gets SIGTERM; any other worker cannot be
+    /// preempted — its eventual stale completion is fenced instead.
     fn signal_cell_cancel(&mut self) {
-        if let Link::Child { pid, .. } = &self.link {
-            send_sigterm(*pid);
+        if let Some(child) = &self.child {
+            send_sigterm(child.id());
         }
     }
 
-    /// One-shot drain signal: SIGTERM a child (checkpoint + exit 3),
-    /// send the exit op to a remote worker.
+    /// One-shot drain signal: the exit op down the link, SIGTERM to a
+    /// spawned child (a mid-cell child checkpoints and exits 3).
     fn signal_drain(&mut self) {
         if self.drain_signaled {
             return;
         }
         self.drain_signaled = true;
-        match &self.link {
-            Link::Child { pid, .. } => send_sigterm(*pid),
-            Link::Remote { .. } => {
-                let _ = self.send_line("{\"op\":\"exit\"}");
-            }
-        }
+        let _ = self.send_line("{\"op\":\"exit\"}");
+        self.signal_cell_cancel();
     }
 }
 
-/// Whether a slot belongs to the fixed local fleet or was appended by
-/// a remote registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotKind {
-    Local,
-    Remote,
-}
-
+/// A worker slot. The first `cfg.workers` slots are *local*: fixed at
+/// startup and spawned by the daemon. Later slots are *remote*,
+/// appended by registrations that matched no spawned child.
 struct Slot {
-    kind: SlotKind,
     proc: Option<Proc>,
     restarts: u64,
     /// Consecutive deaths, feeding the backoff exponent; reset by a
     /// successful cell completion.
     deaths: u32,
+    /// Counts against the fleet floor: set when the worker dies
+    /// (heartbeat expiry, exit, failed spawn) or a remote worker
+    /// leaves, cleared when a worker registers on the slot. A local
+    /// slot that was never started is not down.
+    down: bool,
     backoff: Backoff,
     respawn_after: Instant,
     next_gen: u64,
+}
+
+impl Slot {
+    /// An empty slot whose respawn backoff jitters under `seed`.
+    fn new(cfg: &DaemonConfig, seed: u64) -> Self {
+        Slot {
+            proc: None,
+            restarts: 0,
+            deaths: 0,
+            down: false,
+            backoff: Backoff::with_jitter(cfg.backoff_base_ms, cfg.backoff_cap_ms, 200, seed),
+            respawn_after: Instant::now(),
+            next_gen: 0,
+        }
+    }
+
+    /// Records a death or failed spawn: the slot counts as down and
+    /// respawns (if local) after a jittered exponential backoff.
+    fn mark_dead(&mut self, now: Instant) {
+        let attempt = self.deaths;
+        self.deaths = self.deaths.saturating_add(1);
+        self.down = true;
+        self.respawn_after = now + Duration::from_millis(self.backoff.delay(attempt));
+    }
 }
 
 struct State {
@@ -493,6 +504,9 @@ struct State {
     /// Daemon-global fence generation; starts at 1 so 0 stays the
     /// journal's "unfenced legacy record" sentinel.
     next_fence: u64,
+    /// Address spawned workers dial; set once the worker listener is
+    /// bound (no spawns before that).
+    worker_addr: Option<SocketAddr>,
 }
 
 /// The daemon: shared between the HTTP server threads (submission and
@@ -557,42 +571,31 @@ pub struct CellView {
 pub struct WorkerView {
     /// Slot index.
     pub idx: u64,
-    /// Worker identity as it appears in lease journal records:
-    /// `w-<idx>` for locals, the self-reported hello name for remotes
-    /// (empty while a slot is vacant).
+    /// Worker identity as it appears in lease journal records: the
+    /// self-reported hello name (`pid <n>` while a spawned child has
+    /// not registered, empty while a slot is vacant).
     pub name: String,
-    /// Whether a live process occupies the slot.
+    /// Whether a worker occupies the slot.
     pub alive: bool,
-    /// Live worker's pid (0 when dead or remote).
+    /// The registered worker's pid from its hello (0 until it
+    /// registers, or when the hello omits it).
     pub pid: u64,
-    /// Times this slot respawned (local) or re-attached (remote).
+    /// Times this slot respawned or its worker re-attached.
     pub restarts: u64,
     /// Key of the currently leased cell, empty when idle.
     pub lease: String,
-    /// `local` or `remote`.
+    /// `local` for slots this daemon spawns, else `remote`.
     pub kind: String,
 }
 
 impl Daemon {
-    /// Creates a daemon (no workers spawned until work arrives).
+    /// Creates a daemon. No worker is spawned until work arrives and
+    /// [`crate::remote::serve_workers`] has bound the worker listener
+    /// the children dial.
     pub fn new(cfg: DaemonConfig) -> Arc<Self> {
         let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
         let slots = (0..cfg.workers)
-            .map(|i| Slot {
-                kind: SlotKind::Local,
-                proc: None,
-                restarts: 0,
-                deaths: 0,
-                backoff: Backoff::with_jitter(
-                    cfg.backoff_base_ms,
-                    cfg.backoff_cap_ms,
-                    200,
-                    cfg.backoff_seed.wrapping_add(i as u64),
-                ),
-                respawn_after: now,
-                next_gen: 0,
-            })
+            .map(|i| Slot::new(&cfg, cfg.backoff_seed.wrapping_add(i as u64)))
             .collect();
         Arc::new(Daemon {
             cfg,
@@ -605,6 +608,7 @@ impl Daemon {
                 next_session: 1,
                 next_stream: 0,
                 next_fence: 1,
+                worker_addr: None,
             }),
             events_tx: tx,
             events_rx: Mutex::new(rx),
@@ -760,15 +764,27 @@ impl Daemon {
         }
     }
 
-    /// Registers a remote worker after its hello frame was read.
-    /// Writes the welcome/reject reply itself (handshake frames bypass
-    /// netem by design — the chaos scope is the steady-state stream).
+    /// Records the bound worker-listener address that spawned workers
+    /// dial (an unspecified bind address is dialed over loopback).
+    pub(crate) fn set_worker_addr(&self, mut addr: SocketAddr) {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        self.state.lock().expect("daemon state").worker_addr = Some(addr);
+    }
+
+    /// Registers a worker after its hello frame was read. Writes the
+    /// welcome/reject reply itself (handshake frames bypass netem by
+    /// design — the chaos scope is the steady-state stream).
     ///
     /// # Errors
     ///
     /// Returns the rejection reason; the reject frame has already been
     /// written to the socket on a best-effort basis.
-    pub(crate) fn register_remote(
+    pub(crate) fn register(
         &self,
         hello: &wire::Hello,
         mut stream: TcpStream,
@@ -801,7 +817,7 @@ impl Daemon {
         let mut st = self.state.lock().expect("daemon state");
 
         // Reconnect-with-resume: a known session token whose slot still
-        // holds the remote proc re-attaches the link in place.
+        // holds the link re-attaches it in place.
         if !hello.token.is_empty() {
             if let Some(&idx) = st.sessions.get(&hello.token) {
                 let live = st.slots[idx]
@@ -809,7 +825,7 @@ impl Daemon {
                     .as_ref()
                     .is_some_and(|p| p.session() == Some(hello.token.as_str()));
                 if live {
-                    return self.resume_remote(&mut st, idx, hello, stream, leftover);
+                    return self.resume(&mut st, idx, hello, stream, leftover);
                 }
                 // The slot was reaped since: fall through to a fresh
                 // registration so the worker observes the migration.
@@ -817,11 +833,41 @@ impl Daemon {
             }
         }
 
-        // Fresh registration: append a remote slot.
+        // Fresh registration: a spawned child on this host still
+        // waiting for its link takes its own slot; anything else
+        // appends a remote slot.
+        let same_host = match (stream.peer_addr(), stream.local_addr()) {
+            (Ok(peer), Ok(local)) => peer.ip().is_loopback() || peer.ip() == local.ip(),
+            _ => false,
+        };
+        let spawned = st.slots.iter().position(|s| {
+            s.proc.as_ref().is_some_and(|p| {
+                p.link.is_none() && p.child.as_ref().is_some_and(|c| c.id() == hello.pid)
+            })
+        });
+        let spawned = spawned.filter(|_| same_host);
+        let gen = spawned
+            .and_then(|i| st.slots[i].proc.as_ref())
+            .map_or(0, |p| p.gen);
         let session = format!("s{}", st.next_session);
+        let reader = stream
+            .try_clone()
+            .map_err(|e| format!("cloning worker stream: {e}"))?;
+        stream
+            .write_all(wire::render_welcome(&session, gen, None).as_bytes())
+            .and_then(|()| stream.flush())
+            .map_err(|e| format!("writing welcome: {e}"))?;
         st.next_session += 1;
         let stream_id = st.next_stream;
         st.next_stream += 1;
+        let idx = spawned.unwrap_or_else(|| {
+            let seed = self.cfg.backoff_seed.wrapping_add(0x7e_0000 + stream_id);
+            let mut slot = Slot::new(&self.cfg, seed);
+            slot.proc = Some(Proc::new(None, 0));
+            slot.next_gen = 1;
+            st.slots.push(slot);
+            st.slots.len() - 1
+        });
         let netem_cfg = NetemConfig::from_scenario(&self.cfg.netem, stream_id);
         let (ingress, egress) = if netem_cfg.is_active() {
             (
@@ -831,56 +877,29 @@ impl Daemon {
         } else {
             (None, None)
         };
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(e) => return Err(format!("cloning worker stream: {e}")),
-        };
-        let welcome = wire::render_welcome(&session, 0, None);
-        if let Err(e) = stream
-            .write_all(welcome.as_bytes())
-            .and_then(|()| stream.flush())
-        {
-            return Err(format!("writing welcome: {e}"));
+        let proc = st.slots[idx].proc.as_mut().expect("registration target");
+        if let Ok(mut t) = proc.last_line.lock() {
+            *t = Instant::now();
         }
-        let idx = st.slots.len();
-        let last_line = Arc::new(Mutex::new(Instant::now()));
-        spawn_remote_reader(
+        spawn_link_reader(
             idx,
-            0,
+            gen,
             reader,
             leftover,
             ingress,
-            Arc::clone(&last_line),
+            Arc::clone(&proc.last_line),
             self.events_tx.clone(),
         );
-        st.sessions.insert(session.clone(), idx);
-        st.slots.push(Slot {
-            kind: SlotKind::Remote,
-            proc: Some(Proc {
-                link: Link::Remote {
-                    writer: stream,
-                    session,
-                    name: hello.worker.clone(),
-                    stream: stream_id,
-                    netem: egress,
-                },
-                last_line,
-                gen: 0,
-                bound_sweep: 0,
-                lease: None,
-                drain_signaled: false,
-            }),
-            restarts: 0,
-            deaths: 0,
-            backoff: Backoff::with_jitter(
-                self.cfg.backoff_base_ms,
-                self.cfg.backoff_cap_ms,
-                200,
-                self.cfg.backoff_seed.wrapping_add(0x7e_0000 + stream_id),
-            ),
-            respawn_after: Instant::now(),
-            next_gen: 1,
+        proc.link = Some(Link {
+            writer: stream,
+            session: session.clone(),
+            name: hello.worker.clone(),
+            pid: hello.pid,
+            stream: stream_id,
+            netem: egress,
         });
+        st.slots[idx].down = false;
+        st.sessions.insert(session, idx);
         obs::counter_add("sweepd.remote.registered", 1);
         Ok(())
     }
@@ -889,7 +908,7 @@ impl Daemon {
     /// socket is shut down, a new generation invalidates its reader,
     /// and the welcome names the still-held lease (if any) so the
     /// worker can re-send a completion lost in flight.
-    fn resume_remote(
+    fn resume(
         &self,
         st: &mut State,
         idx: usize,
@@ -913,28 +932,20 @@ impl Daemon {
             Ok(r) => r,
             Err(e) => return Err(format!("cloning worker stream: {e}")),
         };
-        let Link::Remote {
-            writer,
-            name,
-            stream: stream_id,
-            netem,
-            ..
-        } = &mut proc.link
-        else {
-            unreachable!("resume target checked remote");
-        };
-        let _ = writer.shutdown(Shutdown::Both);
-        *writer = stream;
-        *name = hello.worker.clone();
-        let stream_id = *stream_id;
+        let link = proc.link.as_mut().expect("resume target has a link");
+        let _ = link.writer.shutdown(Shutdown::Both);
+        link.writer = stream;
+        link.name = hello.worker.clone();
+        link.pid = hello.pid;
+        let stream_id = link.stream;
         // Fresh per-connection injectors: netem frame counters are
         // per-connection by design (documented in DESIGN §17).
         let netem_cfg = NetemConfig::from_scenario(&self.cfg.netem, stream_id);
         let ingress = if netem_cfg.is_active() {
-            *netem = Some(Netem::new(netem_cfg.clone(), stream_id, NetDir::Egress));
+            link.netem = Some(Netem::new(netem_cfg.clone(), stream_id, NetDir::Egress));
             Some(Netem::new(netem_cfg, stream_id, NetDir::Ingress))
         } else {
-            *netem = None;
+            link.netem = None;
             None
         };
         proc.gen = gen;
@@ -942,7 +953,7 @@ impl Daemon {
         if let Ok(mut t) = proc.last_line.lock() {
             *t = Instant::now();
         }
-        spawn_remote_reader(
+        spawn_link_reader(
             idx,
             gen,
             reader,
@@ -1008,25 +1019,30 @@ impl Daemon {
             .enumerate()
             .map(|(i, s)| WorkerView {
                 idx: i as u64,
-                name: s.proc.as_ref().map_or(String::new(), |p| p.display_name(i)),
+                name: s.proc.as_ref().map_or(String::new(), Proc::name),
                 alive: s.proc.is_some(),
-                pid: s.proc.as_ref().map_or(0, |p| u64::from(p.pid())),
+                pid: s
+                    .proc
+                    .as_ref()
+                    .and_then(|p| p.link.as_ref())
+                    .map_or(0, |l| u64::from(l.pid)),
                 restarts: s.restarts,
                 lease: s
                     .proc
                     .as_ref()
                     .and_then(|p| p.lease.as_ref())
                     .map_or(String::new(), |l| l.key.clone()),
-                kind: match s.kind {
-                    SlotKind::Local => "local",
-                    SlotKind::Remote => "remote",
+                kind: if i < self.cfg.workers {
+                    "local"
+                } else {
+                    "remote"
                 }
                 .to_string(),
             })
             .collect()
     }
 
-    /// Count of live worker processes (local and remote).
+    /// Count of occupied worker slots (spawned children included).
     pub fn alive_workers(&self) -> usize {
         let st = self.state.lock().expect("daemon state");
         st.slots.iter().filter(|s| s.proc.is_some()).count()
@@ -1047,7 +1063,7 @@ impl Daemon {
             }
         }
 
-        // 1b. Release scripted egress delays on quiet remote links.
+        // 1b. Release scripted egress delays on quiet links.
         for slot in st.slots.iter_mut() {
             if let Some(p) = slot.proc.as_mut() {
                 p.pump_egress();
@@ -1056,7 +1072,7 @@ impl Daemon {
 
         // 2. Liveness deadlines and cell wall-clock budgets.
         for idx in 0..st.slots.len() {
-            let (stale, timed_out) = {
+            let (stale, timed_out, name) = {
                 let Some(proc) = st.slots[idx].proc.as_ref() else {
                     continue;
                 };
@@ -1070,13 +1086,9 @@ impl Daemon {
                     let budget = sweep.cell_timeout(cfg)?;
                     (l.started.elapsed() > budget).then_some((l.sweep_id, budget))
                 });
-                (stale, timed_out)
+                (stale, timed_out, proc.name())
             };
             if stale {
-                let name = st.slots[idx]
-                    .proc
-                    .as_ref()
-                    .map_or_else(|| worker_name(idx), |p| p.display_name(idx));
                 let reason = format!(
                     "worker {name} heartbeat expired (no output for {:?})",
                     cfg.heartbeat_deadline
@@ -1085,9 +1097,9 @@ impl Daemon {
                 continue;
             }
             if let Some((sweep_id, budget)) = timed_out {
-                // Cooperative cancellation: SIGTERM makes a local
-                // worker persist the in-flight checkpoint and exit 3
-                // (a remote worker cannot be preempted; its eventual
+                // Cooperative cancellation: SIGTERM makes a spawned
+                // child persist the in-flight checkpoint and exit 3
+                // (any other worker cannot be preempted; its eventual
                 // stale completion is fenced). The attempt is charged
                 // now so the lease cannot wedge the fleet, and a retry
                 // resumes from the checkpoint.
@@ -1096,10 +1108,6 @@ impl Daemon {
                     .as_mut()
                     .and_then(|p| p.lease.take())
                     .expect("timed-out lease");
-                let name = st.slots[idx]
-                    .proc
-                    .as_ref()
-                    .map_or_else(|| worker_name(idx), |p| p.display_name(idx));
                 let reason = format!(
                     "cell {:?} exceeded its {}s wall-clock budget on worker {name}",
                     lease.key,
@@ -1112,33 +1120,33 @@ impl Daemon {
             }
         }
 
-        // 3. Reap exited local workers.
+        // 3. Reap exited children.
         for idx in 0..st.slots.len() {
-            let exited = match st.slots[idx].proc.as_mut() {
-                Some(p) => p.try_reap(),
-                None => continue,
+            let Some(proc) = st.slots[idx].proc.as_mut() else {
+                continue;
             };
-            if let Some(status) = exited {
-                let reason = format!("worker {} exited with {status}", worker_name(idx));
+            if let Some(status) = proc.try_reap() {
+                let reason = format!("worker {} exited with {status}", proc.name());
                 kill_slot(cfg, &mut st, idx, &reason, now);
             }
         }
 
         // 4. Fleet health and degradation.
-        let alive = st.slots.iter().filter(|s| s.proc.is_some()).count();
-        obs::gauge_set("sweepd.workers.alive", alive as f64);
-        if alive < cfg.fleet_floor {
-            shed_low_priority(cfg, &mut st, alive);
+        let up = st.slots.iter().filter(|s| !s.down).count();
+        obs::gauge_set("sweepd.workers.alive", up as f64);
+        if up < cfg.fleet_floor {
+            shed_low_priority(cfg, &mut st, up);
         }
 
         // 5. Sweep lifecycle: completion and finalize.
         advance_sweeps(cfg, &mut st);
 
-        // 6. Leasing and respawn — or drain.
+        // 6–7. Spawning and leasing — or drain.
         if self.draining.load(Ordering::SeqCst) {
             drain_fleet(cfg, &mut st, now);
         } else {
-            assign_work(cfg, &mut st, &self.events_tx, now);
+            spawn_workers(cfg, &mut st, now);
+            assign_work(cfg, &mut st);
         }
     }
 
@@ -1192,7 +1200,6 @@ fn apply_event(cfg: &DaemonConfig, st: &mut State, slot_idx: usize, gen: u64, ev
         return; // event from a previous incarnation of the slot
     }
     match event {
-        WorkerEvent::Ready => {}
         WorkerEvent::Done {
             key,
             result,
@@ -1247,8 +1254,7 @@ fn apply_event(cfg: &DaemonConfig, st: &mut State, slot_idx: usize, gen: u64, ev
                 obs::counter_add("sweepd.cells.fenced", 1);
                 return;
             }
-            let name = proc.display_name(slot_idx);
-            let reason = format!("worker {name}: {error}");
+            let reason = format!("worker {}: {error}", proc.name());
             charge_attempt(cfg, st, lease.sweep_id, &key, &reason);
         }
         WorkerEvent::Interrupted { key } => {
@@ -1271,20 +1277,15 @@ fn apply_event(cfg: &DaemonConfig, st: &mut State, slot_idx: usize, gen: u64, ev
             }
         }
         WorkerEvent::Eof => {
-            // Local: the reap pass collects the exit status, and the
-            // heartbeat deadline covers a process that closed stdout
-            // but lingers. Remote with no lease: a clean disconnect —
-            // retire the slot now instead of waiting out the deadline.
-            // A *leased* remote keeps its slot: the heartbeat deadline
-            // is the reconnect grace window.
-            let retire = proc.is_remote() && proc.lease.is_none();
-            if retire {
-                if let Some(mut p) = st.slots[slot_idx].proc.take() {
-                    if let Some(session) = p.session().map(str::to_string) {
-                        st.sessions.remove(&session);
-                    }
-                    p.terminate();
-                }
+            // A spawned child: the reap pass collects the exit status,
+            // and the heartbeat deadline covers a process that lost its
+            // link but lingers (or redials). Any other worker with no
+            // lease disconnected cleanly — retire the slot now instead
+            // of waiting out the deadline. A *leased* worker keeps its
+            // slot: the heartbeat deadline is the reconnect grace
+            // window.
+            if proc.child.is_none() && proc.lease.is_none() {
+                kill_slot(cfg, st, slot_idx, "worker disconnected", Instant::now());
             }
         }
     }
@@ -1321,16 +1322,16 @@ fn charge_attempt(cfg: &DaemonConfig, st: &mut State, sweep_id: u64, key: &str, 
     }
 }
 
-/// Tears down a slot's link after a death or forced kill: journals the
-/// orphaned lease, requeues its cell (crash migration), schedules a
+/// Tears down a slot's worker after a death or forced kill: journals
+/// the orphaned lease, requeues its cell (crash migration), schedules a
 /// backed-off respawn (local slots; a retired remote slot waits for
 /// its worker to redial, which lands in a fresh slot).
 fn kill_slot(cfg: &DaemonConfig, st: &mut State, idx: usize, reason: &str, now: Instant) {
     let Some(mut proc) = st.slots[idx].proc.take() else {
         return;
     };
-    if let Some(session) = proc.session().map(str::to_string) {
-        st.sessions.remove(&session);
+    if let Some(session) = proc.session() {
+        st.sessions.remove(session);
     }
     proc.terminate();
     if let Some(lease) = proc.lease.take() {
@@ -1343,10 +1344,7 @@ fn kill_slot(cfg: &DaemonConfig, st: &mut State, idx: usize, reason: &str, now: 
             &format!("{reason} while holding the lease"),
         );
     }
-    let slot = &mut st.slots[idx];
-    let attempt = slot.deaths;
-    slot.deaths = slot.deaths.saturating_add(1);
-    slot.respawn_after = now + Duration::from_millis(slot.backoff.delay(attempt));
+    st.slots[idx].mark_dead(now);
 }
 
 /// Sheds every running sweep except the single highest-priority one
@@ -1473,14 +1471,55 @@ fn spawn_finalize(cfg: &DaemonConfig, sweep: &Sweep) -> std::io::Result<Child> {
         .spawn()
 }
 
-/// Leases pending cells to idle workers, spawning or rebinding workers
-/// as needed. Sweeps are served in priority order.
-fn assign_work(
-    cfg: &DaemonConfig,
-    st: &mut State,
-    events_tx: &Sender<(usize, u64, WorkerEvent)>,
-    now: Instant,
-) {
+/// Spawns `--connect` children into empty local slots past their
+/// backoff while any sweep has pending cells. A child that fails to
+/// register within the heartbeat deadline is killed by the liveness
+/// pass and respawned here.
+fn spawn_workers(cfg: &DaemonConfig, st: &mut State, now: Instant) {
+    let Some(addr) = st.worker_addr else {
+        return;
+    };
+    if !st.sweeps.values().any(Sweep::has_pending) {
+        return;
+    }
+    for (idx, slot) in st.slots.iter_mut().enumerate().take(cfg.workers) {
+        if slot.proc.is_some() || now < slot.respawn_after {
+            continue;
+        }
+        let cmd = &cfg.worker_cmd;
+        let spawned = Command::new(&cmd[0])
+            .args(&cmd[1..])
+            .arg("--connect")
+            .arg(addr.to_string())
+            .arg("--heartbeat-ms")
+            .arg(cfg.heartbeat_ms.to_string())
+            .arg("--jobs")
+            .arg("1")
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .spawn();
+        match spawned {
+            Ok(child) => {
+                let gen = slot.next_gen;
+                slot.next_gen += 1;
+                if gen > 0 {
+                    slot.restarts = slot.restarts.saturating_add(1);
+                    obs::counter_add("sweepd.worker.restarts", 1);
+                }
+                slot.proc = Some(Proc::new(Some(child), gen));
+            }
+            Err(e) => {
+                eprintln!("sweepd: spawning worker for slot {idx}: {e}");
+                slot.mark_dead(now);
+            }
+        }
+    }
+}
+
+/// Leases pending cells to idle registered workers, serving sweeps in
+/// priority order. Any idle worker can take any sweep's cell: run
+/// commands are self-contained.
+fn assign_work(cfg: &DaemonConfig, st: &mut State) {
     let mut order: Vec<(i64, u64)> = st
         .sweeps
         .values()
@@ -1490,94 +1529,28 @@ fn assign_work(
     order.sort_by_key(|&(priority, id)| (std::cmp::Reverse(priority), id));
 
     for (_, sweep_id) in order {
-        loop {
-            if !st.sweeps.get(&sweep_id).is_some_and(Sweep::has_pending) {
-                break;
-            }
-            // A slot for this sweep: an idle live worker already bound
-            // to it, else an idle remote worker whose sweep no longer
-            // needs it (rebinding is free — run commands to remote
-            // workers are self-contained), else an empty local slot
-            // past its backoff, else an idle local worker bound to a
-            // sweep that no longer needs it.
-            let bound_idle = st.slots.iter().position(|s| {
+        while st.sweeps.get(&sweep_id).is_some_and(Sweep::has_pending) {
+            let idle = st.slots.iter().position(|s| {
                 s.proc
                     .as_ref()
-                    .is_some_and(|p| p.lease.is_none() && p.bound_sweep == sweep_id)
+                    .is_some_and(|p| p.link.is_some() && p.lease.is_none())
             });
-            let idx = if let Some(idx) = bound_idle {
-                idx
-            } else if let Some(idx) = st.slots.iter().position(|s| {
-                s.proc.as_ref().is_some_and(|p| {
-                    p.is_remote()
-                        && p.lease.is_none()
-                        && !st
-                            .sweeps
-                            .get(&p.bound_sweep)
-                            .is_some_and(Sweep::has_pending)
-                })
-            }) {
-                if let Some(p) = st.slots[idx].proc.as_mut() {
-                    p.bound_sweep = sweep_id;
-                }
-                idx
-            } else if let Some(idx) = st.slots.iter().position(|s| {
-                s.kind == SlotKind::Local && s.proc.is_none() && now >= s.respawn_after
-            }) {
-                let dir = st.sweeps[&sweep_id].dir.clone();
-                let seed = st.sweeps[&sweep_id].manifest.seed;
-                match spawn_worker(cfg, idx, sweep_id, &dir, seed, st, events_tx) {
-                    Ok(()) => idx,
-                    Err(e) => {
-                        // Spawn failure counts as a death: back off and
-                        // let a later tick retry.
-                        let slot = &mut st.slots[idx];
-                        let attempt = slot.deaths;
-                        slot.deaths = slot.deaths.saturating_add(1);
-                        slot.respawn_after =
-                            now + Duration::from_millis(slot.backoff.delay(attempt));
-                        eprintln!("sweepd: spawning worker {}: {e}", worker_name(idx));
-                        break;
-                    }
-                }
-            } else if let Some(idx) = st.slots.iter().position(|s| {
-                s.proc.as_ref().is_some_and(|p| {
-                    !p.is_remote()
-                        && p.lease.is_none()
-                        && !st
-                            .sweeps
-                            .get(&p.bound_sweep)
-                            .is_some_and(Sweep::has_pending)
-                })
-            }) {
-                // Rebind: retire the idle local worker; the slot
-                // respawns for this sweep on the next tick.
-                if let Some(proc) = st.slots[idx].proc.as_mut() {
-                    let _ = proc.send_line("{\"op\":\"exit\"}");
-                }
-                if let Some(mut proc) = st.slots[idx].proc.take() {
-                    proc.terminate();
-                }
-                st.slots[idx].respawn_after = now;
-                break;
-            } else {
-                break; // fleet saturated
+            let Some(idx) = idle else {
+                return; // fleet saturated
             };
-
             lease_next(cfg, st, sweep_id, idx);
         }
     }
 }
 
 /// Leases the sweep's next pending cell to slot `idx` and sends the
-/// fence-tagged run command down the worker's link. Remote run
-/// commands are self-contained (dir/seed/ckpt-interval inline), so a
-/// delayed or reordered frame can never leave a worker mis-bound.
+/// fence-tagged run command down the worker's link. Run commands are
+/// self-contained (dir/seed/ckpt-interval inline), so a delayed or
+/// reordered frame can never leave a worker mis-bound.
 fn lease_next(cfg: &DaemonConfig, st: &mut State, sweep_id: u64, idx: usize) {
     let fence = st.next_fence;
-    let (worker, remote) = match st.slots[idx].proc.as_ref() {
-        Some(p) => (p.display_name(idx), p.is_remote()),
-        None => return,
+    let Some(worker) = st.slots[idx].proc.as_ref().map(Proc::name) else {
+        return;
     };
     let Some(sweep) = st.sweeps.get_mut(&sweep_id) else {
         return;
@@ -1609,114 +1582,30 @@ fn lease_next(cfg: &DaemonConfig, st: &mut State, sweep_id: u64, idx: usize) {
         return;
     };
     let json = |s: &str| serde_json::to_string(&s).unwrap_or_else(|_| "\"\"".into());
-    let cmd = if remote {
-        format!(
-            "{{\"op\":\"run\",\"exp\":{},\"key\":{},\"gen\":{fence},\"dir\":{},\"seed\":{seed},\"ckpt_interval\":{}}}",
-            json(&exp),
-            json(&key),
-            json(&dir),
-            cfg.ckpt_interval,
-        )
-    } else {
-        format!(
-            "{{\"op\":\"run\",\"exp\":{},\"key\":{},\"gen\":{fence}}}",
-            json(&exp),
-            json(&key),
-        )
-    };
-    let sent = proc.send_line(&cmd);
+    let cmd = format!(
+        "{{\"op\":\"run\",\"exp\":{},\"key\":{},\"gen\":{fence},\"dir\":{},\"seed\":{seed},\"ckpt_interval\":{}}}",
+        json(&exp),
+        json(&key),
+        json(&dir),
+        cfg.ckpt_interval,
+    );
+    // A failed send means the worker is dying: the reap pass or the
+    // heartbeat deadline journals the orphaned lease and requeues it.
+    let _ = proc.send_line(&cmd);
     proc.lease = Some(LeaseInfo {
         sweep_id,
         key,
         started: Instant::now(),
         gen: fence,
     });
-    if sent.is_err() {
-        // Broken pipe: the worker is dying; the reap pass (or the
-        // heartbeat deadline, for a remote link) will journal the
-        // orphaned lease and requeue the cell.
-    }
 }
 
-/// Spawns a worker bound to one sweep and wires its reader thread.
-fn spawn_worker(
-    cfg: &DaemonConfig,
-    idx: usize,
-    sweep_id: u64,
-    dir: &std::path::Path,
-    seed: u64,
-    st: &mut State,
-    events_tx: &Sender<(usize, u64, WorkerEvent)>,
-) -> std::io::Result<()> {
-    let cmd = &cfg.worker_cmd;
-    let mut child = Command::new(&cmd[0])
-        .args(&cmd[1..])
-        .arg("--worker")
-        .arg("--sweep-dir")
-        .arg(dir)
-        .arg("--seed")
-        .arg(seed.to_string())
-        .arg("--ckpt-interval")
-        .arg(cfg.ckpt_interval.to_string())
-        .arg("--jobs")
-        .arg("1")
-        .arg("--heartbeat-ms")
-        .arg(cfg.heartbeat_ms.to_string())
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()?;
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let pid = child.id();
-    let slot = &mut st.slots[idx];
-    let gen = slot.next_gen;
-    slot.next_gen += 1;
-    slot.restarts = slot.restarts.saturating_add(u64::from(gen > 0));
-    if gen > 0 {
-        obs::counter_add("sweepd.worker.restarts", 1);
-    }
-    let last_line = Arc::new(Mutex::new(Instant::now()));
-    spawn_reader(idx, gen, stdout, Arc::clone(&last_line), events_tx.clone());
-    slot.proc = Some(Proc {
-        link: Link::Child { child, pid, stdin },
-        last_line,
-        gen,
-        bound_sweep: sweep_id,
-        lease: None,
-        drain_signaled: false,
-    });
-    Ok(())
-}
-
-fn spawn_reader(
-    idx: usize,
-    gen: u64,
-    stdout: ChildStdout,
-    last_line: Arc<Mutex<Instant>>,
-    tx: Sender<(usize, u64, WorkerEvent)>,
-) {
-    std::thread::spawn(move || {
-        for line in BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if let Ok(mut t) = last_line.lock() {
-                *t = Instant::now();
-            }
-            if let Some(event) = parse_event(&line) {
-                if tx.send((idx, gen, event)).is_err() {
-                    return;
-                }
-            }
-        }
-        let _ = tx.send((idx, gen, WorkerEvent::Eof));
-    });
-}
-
-/// Reader thread for a remote link: reassembles frames with the shared
+/// Reader thread for a worker link: reassembles frames with the shared
 /// [`wire`] codec, passes each through the ingress fault injector, and
 /// timestamps only *delivered* frames — so a scripted partition window
 /// starves the liveness timestamp exactly like a real one. A protocol
 /// violation (oversized frame, invalid UTF-8) drops the connection.
-fn spawn_remote_reader(
+fn spawn_link_reader(
     idx: usize,
     gen: u64,
     stream: TcpStream,
@@ -1769,20 +1658,21 @@ fn spawn_remote_reader(
     });
 }
 
-/// Drains the fleet: one drain signal per worker (SIGTERM for locals,
-/// the exit op for remotes — cooperative checkpoint + exit 3),
-/// escalate to a hard kill past the grace window.
+/// Drains the fleet: one drain signal per worker (the exit op down
+/// every link plus SIGTERM to every spawned child — cooperative
+/// checkpoint + exit 3), escalating to a hard kill past the grace
+/// window.
 fn drain_fleet(cfg: &DaemonConfig, st: &mut State, now: Instant) {
     let started = *st.drain_started.get_or_insert(now);
     let escalate = now.duration_since(started) > cfg.drain_grace;
     for idx in 0..st.slots.len() {
-        if st.slots[idx].proc.is_none() {
+        let Some(proc) = st.slots[idx].proc.as_mut() else {
             continue;
-        }
+        };
         if escalate {
-            let reason = format!("worker {} killed after drain grace", worker_name(idx));
+            let reason = format!("worker {} killed after drain grace", proc.name());
             kill_slot(cfg, st, idx, &reason, now);
-        } else if let Some(proc) = st.slots[idx].proc.as_mut() {
+        } else {
             proc.signal_drain();
         }
     }

@@ -11,10 +11,11 @@
 //!   manifests arrive on `POST /sweeps`; progress streams from
 //!   `GET /sweeps/:id`; `GET /metrics` exposes the telemetry snapshot.
 //! * **Worker fleet** ([`daemon`]): cells are sharded across
-//!   supervised `experiments --worker` child processes speaking a
-//!   line-flushed JSONL protocol over stdin/stdout. Liveness is
-//!   heartbeat-based with a hard deadline; dead workers respawn under
-//!   jittered exponential backoff ([`faultsim::Backoff`]).
+//!   supervised `metanmp-experiments --connect` child processes that
+//!   dial the daemon's worker listener and register like any remote
+//!   worker (their hello `pid` ties each back to its slot). Liveness
+//!   is heartbeat-based with a hard deadline; dead workers respawn
+//!   under jittered exponential backoff ([`faultsim::Backoff`]).
 //! * **Crash migration**: the per-sweep JSONL journal (shared with the
 //!   in-process sweep runner) is the single source of truth — lease
 //!   records, idempotent completions, failed attempts. A cell leased
@@ -25,11 +26,12 @@
 //!   lowest-priority sweeps are shed with a structured reason; SIGTERM
 //!   drains in-flight cells to checkpoints and exits 3 ("interrupted,
 //!   resumable") — the exit-code contract the rest of the repo uses.
-//! * **Distributed workers** ([`remote`], [`wire`]): workers on other
-//!   hosts dial `--worker-listen`, complete a versioned registration
+//! * **One worker transport** ([`remote`], [`wire`]): every worker —
+//!   spawned or on another host — dials `--worker-listen` (always on,
+//!   default `127.0.0.1:0`), completes a versioned registration
 //!   handshake (protocol version, experiment-set fingerprint, session
-//!   token for reconnect-with-resume), and speak the same JSONL
-//!   protocol over a length-capped framed TCP stream. Leases are
+//!   token for reconnect-with-resume), and speaks JSONL over a
+//!   length-capped framed TCP stream. Leases are
 //!   fence-generation-tagged so a partitioned worker's stale
 //!   completions are rejected, and the coordinator-side transport can
 //!   be wrapped in a deterministic network-fault injector

@@ -1,12 +1,13 @@
-//! TCP listener for remote workers.
+//! The worker listener: the daemon's only worker transport.
 //!
-//! Workers dial this port (daemon flag `--worker-listen`), send one
-//! [`wire::Hello`] frame, and receive a welcome (fresh session or
-//! reconnect-with-resume) or a reject naming the reason. After the
-//! handshake the connection carries the same JSONL event protocol a
-//! local worker speaks over its pipes, reassembled with the shared
-//! length-capped frame codec and passed through the daemon's scripted
-//! network-fault injector.
+//! Every worker dials this port (daemon flag `--worker-listen`, bound
+//! on `127.0.0.1:0` unless given): the children the daemon spawns into
+//! its local slots, and workers started by hand on other hosts. A
+//! worker sends one [`wire::Hello`] frame and receives a welcome (fresh
+//! session or reconnect-with-resume) or a reject naming the reason.
+//! After the handshake the connection carries the JSONL event
+//! protocol, reassembled with the shared length-capped frame codec and
+//! passed through the daemon's scripted network-fault injector.
 //!
 //! The handshake itself bypasses netem by design: the chaos scope is
 //! the steady-state stream, and a scripted drop of the hello would
@@ -26,8 +27,9 @@ use crate::wire;
 /// handshake threads).
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Accepts remote-worker registrations until the daemon drains.
-/// `on_bound` receives the bound address (tests bind port 0).
+/// Accepts worker registrations until the daemon drains. The bound
+/// address is recorded for spawned workers before `on_bound` receives
+/// it (tests bind port 0), so no spawn happens without an address.
 ///
 /// # Errors
 ///
@@ -38,7 +40,9 @@ pub fn serve_workers(
     on_bound: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
-    on_bound(listener.local_addr()?);
+    let bound = listener.local_addr()?;
+    daemon.set_worker_addr(bound);
+    on_bound(bound);
     listener.set_nonblocking(true)?;
     loop {
         match listener.accept() {
@@ -100,5 +104,5 @@ fn handshake(daemon: &Daemon, mut stream: TcpStream) -> Result<(), String> {
     stream
         .set_read_timeout(None)
         .map_err(|e| format!("clearing hello timeout: {e}"))?;
-    daemon.register_remote(&hello, stream, leftover)
+    daemon.register(&hello, stream, leftover)
 }

@@ -1,12 +1,13 @@
-//! Wire protocol for TCP remote workers: length-capped newline frames
-//! plus the versioned registration handshake.
+//! Wire protocol for sweep workers: length-capped newline frames plus
+//! the versioned registration handshake.
 //!
-//! A remote worker dials the coordinator's `--worker-listen` address and
+//! Every worker — a child the coordinator spawned or one started on
+//! another host — dials the coordinator's `--worker-listen` address and
 //! the two sides exchange exactly one handshake frame each before the
 //! ordinary JSONL worker protocol starts:
 //!
 //! ```text
-//! worker      -> {"hello":{"proto":1,"fingerprint":F,"token":"","worker":"w-tcp-123"}}
+//! worker      -> {"hello":{"proto":1,"fingerprint":F,"token":"","worker":"w-tcp-123","pid":123}}
 //! coordinator -> {"welcome":{"proto":1,"session":"s1","gen":0,"resume":""}}   (accepted)
 //! coordinator -> {"reject":{"reason":"..."}}                                  (refused)
 //! ```
@@ -21,6 +22,10 @@
 //!   a live registration re-attaches the new socket to the old slot and
 //!   `resume` names the cell key the worker's lease still covers (empty
 //!   if it holds none, or if the lease migrated while it was away).
+//! * `pid` is the worker's OS process id (absent reads as 0). A
+//!   same-host registration whose `pid` matches a child the coordinator
+//!   spawned attaches to that child's slot; `/healthz` reports it for
+//!   every worker.
 //!
 //! Everything here is a pure function over bytes — no sockets — so the
 //! fuzz harness (`bench --bin fuzz --boundary frame`, lane 7) can drive
@@ -122,6 +127,8 @@ pub struct Hello {
     pub token: String,
     /// Self-reported worker name, used in lease journal records.
     pub worker: String,
+    /// The worker's OS process id; 0 when the hello omits it.
+    pub pid: u32,
 }
 
 /// The coordinator's answer to a hello.
@@ -192,8 +199,8 @@ fn field<'a>(map: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
 ///
 /// Returns a [`WireError`] for non-JSON input, a missing or mistyped
 /// `hello` envelope, missing or mistyped `proto`/`fingerprint`, an
-/// out-of-range `proto`, or an over-cap / control-character `token` or
-/// `worker` name.
+/// out-of-range `proto` or `pid`, or an over-cap / control-character
+/// `token` or `worker` name.
 pub fn parse_hello(line: &str) -> Result<Hello, WireError> {
     let root: Value = match serde_json::from_str(line) {
         Ok(v) => v,
@@ -227,22 +234,31 @@ pub fn parse_hello(line: &str) -> Result<Hello, WireError> {
     if worker.is_empty() {
         return err("\"worker\" must not be empty");
     }
+    let pid = match field(body, "pid") {
+        Some(v) => match u32::try_from(want_u64(v, "\"pid\"")?) {
+            Ok(p) => p,
+            Err(_) => return err("\"pid\" out of u32 range"),
+        },
+        None => 0,
+    };
     Ok(Hello {
         proto,
         fingerprint,
         token,
         worker,
+        pid,
     })
 }
 
 /// Renders a hello frame (newline included) ready to write to a socket.
 pub fn render_hello(hello: &Hello) -> String {
     format!(
-        "{{\"hello\":{{\"proto\":{},\"fingerprint\":{},\"token\":{},\"worker\":{}}}}}\n",
+        "{{\"hello\":{{\"proto\":{},\"fingerprint\":{},\"token\":{},\"worker\":{},\"pid\":{}}}}}\n",
         hello.proto,
         hello.fingerprint,
         json_str(&hello.token),
         json_str(&hello.worker),
+        hello.pid,
     )
 }
 
@@ -401,11 +417,37 @@ mod tests {
             fingerprint: fingerprint(&["faults"]),
             token: "s42".into(),
             worker: "w-tcp-7".into(),
+            pid: 7,
         };
         let line = render_hello(&hello);
         assert!(line.ends_with('\n'));
         let parsed = parse_hello(line.trim_end()).expect("parse");
         assert_eq!(parsed, hello);
+    }
+
+    #[test]
+    fn hello_without_pid_reads_as_zero() {
+        let line = "{\"hello\":{\"proto\":1,\"fingerprint\":2,\"token\":\"\",\"worker\":\"w\"}}";
+        let parsed = parse_hello(line).expect("parse");
+        assert_eq!(parsed.pid, 0);
+        let again = parse_hello(render_hello(&parsed).trim_end()).expect("reparse");
+        assert_eq!(again, parsed);
+    }
+
+    #[test]
+    fn hello_pid_rejections_name_the_field() {
+        for pid in ["4294967296", "-1", "\"7\""] {
+            let line = format!(
+                "{{\"hello\":{{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\",\"pid\":{pid}}}}}"
+            );
+            let e = parse_hello(&line).expect_err(&line);
+            assert!(e.reason.contains("\"pid\""), "{line}: {e}");
+        }
+        let max = format!(
+            "{{\"hello\":{{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\",\"pid\":{}}}}}",
+            u32::MAX
+        );
+        assert_eq!(parse_hello(&max).expect("u32::MAX fits").pid, u32::MAX);
     }
 
     #[test]

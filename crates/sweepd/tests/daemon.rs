@@ -1,20 +1,23 @@
 //! End-to-end supervision tests against a scripted stand-in worker.
 //!
-//! The daemon only sees the worker *protocol* (grid one-shot + JSONL
-//! over stdin/stdout), so a `/bin/sh` script makes every failure mode
-//! deterministic: a worker that completes cells, one that goes silent
-//! mid-lease (heartbeat expiry → crash migration), fleets below the
-//! floor (shedding). Timing margins are generous for slow CI boxes.
+//! The daemon only sees the worker *protocol* (grid one-shot, then a
+//! registration handshake and JSONL over the TCP link each spawned
+//! child dials), so a bash script speaking it over `/dev/tcp` makes
+//! every failure mode deterministic: a worker that completes cells, one
+//! that goes silent mid-lease (heartbeat expiry → crash migration),
+//! fleets below the floor (shedding). Timing margins are generous for
+//! slow CI boxes.
 
 #![cfg(unix)]
 
 use std::os::unix::fs::PermissionsExt;
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use checkpoint::manifest::{Journal, JournalHeader, JournalRecord};
 use checkpoint::FORMAT_VERSION;
-use sweepd::{parse_manifest, CancelError, Daemon, DaemonConfig};
+use sweepd::{parse_manifest, remote, wire, CancelError, Daemon, DaemonConfig};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sweepd-test-{}-{name}", std::process::id()));
@@ -25,18 +28,25 @@ fn scratch(name: &str) -> PathBuf {
 
 /// Writes an executable worker script. `cell_logic` is the shell `case`
 /// body handling `run` commands (the command line is in `$line`).
+/// Spawned as `--connect <host:port>`, the script dials the daemon,
+/// registers under its own pid, and then speaks the event protocol on
+/// stdin/stdout redirected to the socket.
 fn write_worker_script(dir: &Path, cell_logic: &str) -> PathBuf {
     let path = dir.join("fake-worker.sh");
     let script = format!(
-        r#"#!/bin/sh
+        r#"#!/bin/bash
 if [ "$1" = "--grid" ]; then
   printf '%s\n' '{{"experiment":"faults","sweep_hash":77,"seed":42,"cells":[{{"key":"a","hash":1}},{{"key":"b","hash":2}}]}}'
   exit 0
 fi
-if [ "$1" != "--worker" ]; then
+if [ "$1" != "--connect" ]; then
   exit 0
 fi
-printf '%s\n' '{{"ev":"ready","pid":0}}'
+exec 3<>"/dev/tcp/${{2%:*}}/${{2##*:}}" || exit 1
+printf '%s\n' '{{"hello":{{"proto":{proto},"fingerprint":{fp},"token":"","worker":"w-tcp-'$$'","pid":'$$'}}}}' >&3
+read -r welcome <&3
+case "$welcome" in *'"welcome"'*) ;; *) exit 1 ;; esac
+exec <&3 >&3
 ( while :; do printf '%s\n' '{{"ev":"hb","seq":0}}'; sleep 0.05; done ) &
 HB=$!
 trap 'kill $HB 2>/dev/null' EXIT
@@ -48,7 +58,9 @@ while read -r line; do
   esac
 done
 exit 0
-"#
+"#,
+        proto = wire::PROTO_VERSION,
+        fp = wire::fingerprint(sweepd::manifest::SUPPORTED_EXPERIMENTS),
     );
     std::fs::write(&path, script).unwrap();
     std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
@@ -57,7 +69,7 @@ exit 0
 
 fn config(dir: &Path, script: &Path) -> DaemonConfig {
     let mut cfg = DaemonConfig::new(
-        vec!["/bin/sh".to_string(), script.display().to_string()],
+        vec!["/bin/bash".to_string(), script.display().to_string()],
         dir.join("state"),
     );
     cfg.heartbeat_deadline = Duration::from_millis(600);
@@ -65,6 +77,26 @@ fn config(dir: &Path, script: &Path) -> DaemonConfig {
     cfg.backoff_base_ms = 10;
     cfg.backoff_cap_ms = 100;
     cfg
+}
+
+/// Creates the daemon and binds its worker listener on a loopback port,
+/// returning once the address is recorded for spawned workers.
+fn start(cfg: DaemonConfig) -> Arc<Daemon> {
+    let daemon = Daemon::new(cfg);
+    let (addr_tx, addr_rx) = mpsc::channel();
+    {
+        let daemon = Arc::clone(&daemon);
+        std::thread::spawn(move || {
+            remote::serve_workers(daemon, "127.0.0.1:0", move |addr| {
+                addr_tx.send(addr).unwrap();
+            })
+            .expect("worker listener");
+        });
+    }
+    addr_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("listener bound");
+    daemon
 }
 
 /// Ticks the daemon until `pred` holds or the deadline passes.
@@ -103,7 +135,7 @@ fn sweep_runs_to_completion_with_leases_journaled() {
     );
     let cfg = config(&dir, &script);
     let state_dir = cfg.state_dir.clone();
-    let daemon = Daemon::new(cfg);
+    let daemon = start(cfg);
 
     let manifest = parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap();
     let id = daemon.submit(manifest).expect("submit");
@@ -171,7 +203,7 @@ fn dead_worker_is_detected_and_cell_migrates() {
     let script = write_worker_script(&dir, &cell_logic);
     let cfg = config(&dir, &script);
     let state_dir = cfg.state_dir.clone();
-    let daemon = Daemon::new(cfg);
+    let daemon = start(cfg);
 
     let manifest = parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap();
     let id = daemon.submit(manifest).expect("submit");
@@ -235,7 +267,7 @@ fn fleet_below_floor_sheds_lowest_priority_sweep() {
     let mut cfg = config(&dir, &script);
     cfg.workers = 1;
     cfg.fleet_floor = 2; // unmeetable: degradation is permanent
-    let daemon = Daemon::new(cfg);
+    let daemon = start(cfg);
 
     let low = daemon
         .submit(
@@ -273,6 +305,88 @@ fn fleet_below_floor_sheds_lowest_priority_sweep() {
     assert!(!daemon.unfinished());
 }
 
+#[test]
+fn fresh_fleet_runs_concurrent_sweeps_without_shedding() {
+    let dir = scratch("fresh-floor");
+    let script = write_worker_script(
+        &dir,
+        r#"    *'"key":"a"'*) printf '%s\n' '{"ev":"done","key":"a","hash":1,"result":"{\"v\":1}"}' ;;
+    *'"key":"b"'*) printf '%s\n' '{"ev":"done","key":"b","hash":2,"result":"{\"v\":2}"}' ;;"#,
+    );
+    // Default floor of 1 on a fleet that has not started yet: slots
+    // that never died are not down, so nothing may be shed.
+    let daemon = start(config(&dir, &script));
+    let manifest = |priority: u32| {
+        let body = format!(r#"{{"experiment":"faults","priority":{priority},"finalize":false}}"#);
+        parse_manifest(body.as_bytes()).unwrap()
+    };
+    let low = daemon.submit(manifest(1)).expect("submit low");
+    let high = daemon.submit(manifest(5)).expect("submit high");
+
+    tick_until(&daemon, "both sweeps done", |d| {
+        d.sweep_views().iter().all(|v| v.status == "done")
+    });
+    let views = daemon.sweep_views();
+    assert!(views.iter().any(|v| v.id == low), "{views:?}");
+    assert!(views.iter().any(|v| v.id == high), "{views:?}");
+
+    // Each spawned child registered into its own slot by pid: no
+    // stray remote slots, and healthz reports the hello's pid.
+    let workers = daemon.worker_views();
+    assert_eq!(workers.len(), 2, "{workers:?}");
+    for w in &workers {
+        assert_eq!(w.kind, "local", "{w:?}");
+        assert!(w.pid > 0, "{w:?}");
+        assert_eq!(w.name, format!("w-tcp-{}", w.pid), "{w:?}");
+    }
+
+    daemon.begin_drain();
+    tick_until(&daemon, "fleet drained", |d| d.alive_workers() == 0);
+    assert!(!daemon.unfinished());
+}
+
+#[test]
+fn child_that_never_registers_is_killed_and_respawned() {
+    let dir = scratch("unregistered");
+    // Answers the grid, then never dials the worker listener.
+    let script = dir.join("silent-worker.sh");
+    std::fs::write(
+        &script,
+        r#"#!/bin/bash
+if [ "$1" = "--grid" ]; then
+  printf '%s\n' '{"experiment":"faults","sweep_hash":77,"seed":42,"cells":[{"key":"a","hash":1}]}'
+  exit 0
+fi
+exec sleep 60
+"#,
+    )
+    .unwrap();
+    let mut cfg = config(&dir, &script);
+    cfg.workers = 1;
+    let state_dir = cfg.state_dir.clone();
+    let daemon = start(cfg);
+    let id = daemon
+        .submit(parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap())
+        .expect("submit");
+
+    // The registration deadline is the heartbeat deadline: the silent
+    // child is killed and a fresh one spawned under backoff.
+    tick_until(&daemon, "unregistered child respawned", |d| {
+        d.worker_views()[0].restarts >= 1
+    });
+    let w = &daemon.worker_views()[0];
+    assert_eq!(w.kind, "local", "{w:?}");
+    assert_eq!(w.pid, 0, "no hello, no pid: {w:?}");
+    assert!(
+        journal_records(&state_dir, id).is_empty(),
+        "nothing was leased, so nothing is charged"
+    );
+
+    daemon.begin_drain();
+    tick_until(&daemon, "fleet drained", |d| d.alive_workers() == 0);
+    assert!(daemon.unfinished(), "the sweep never ran");
+}
+
 /// One raw HTTP exchange against the server (one request per
 /// connection, so each call dials fresh).
 fn http(addr: std::net::SocketAddr, request: &str) -> String {
@@ -292,7 +406,7 @@ fn http_control_plane_round_trips() {
         r#"    *'"key":"a"'*) printf '%s\n' '{"ev":"done","key":"a","hash":1,"result":"{\"v\":1}"}' ;;
     *'"key":"b"'*) printf '%s\n' '{"ev":"done","key":"b","hash":2,"result":"{\"v\":2}"}' ;;"#,
     );
-    let daemon = Daemon::new(config(&dir, &script));
+    let daemon = start(config(&dir, &script));
 
     let (addr_tx, addr_rx) = std::sync::mpsc::channel();
     {
@@ -378,7 +492,7 @@ fn cancel_revokes_leases_and_collects_inflight_checkpoints() {
     );
     let cfg = config(&dir, &script);
     let state_dir = cfg.state_dir.clone();
-    let daemon = Daemon::new(cfg);
+    let daemon = start(cfg);
 
     let manifest = parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap();
     let id = daemon.submit(manifest).expect("submit");
@@ -440,7 +554,7 @@ fn leased_cell_past_wall_clock_budget_is_charged_and_retried() {
     let script = write_worker_script(&dir, &cell_logic);
     let cfg = config(&dir, &script);
     let state_dir = cfg.state_dir.clone();
-    let daemon = Daemon::new(cfg);
+    let daemon = start(cfg);
 
     let manifest =
         parse_manifest(br#"{"experiment":"faults","cell_timeout_s":1,"finalize":false}"#).unwrap();

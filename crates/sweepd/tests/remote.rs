@@ -96,6 +96,7 @@ fn dial(addr: SocketAddr, token: &str, worker: &str, proto: u32, fp: u64) -> Con
         fingerprint: fp,
         token: token.to_string(),
         worker: worker.to_string(),
+        pid: 0,
     };
     stream
         .write_all(wire::render_hello(&hello).as_bytes())
@@ -517,4 +518,46 @@ fn reconnect_resumes_lease_and_fences_stale_generations() {
     tick_wait(&daemon, "fleet drained", |d| d.alive_workers() == 0);
     assert!(!daemon.unfinished());
     server.join().unwrap();
+}
+
+#[test]
+fn drain_escalation_fail_record_names_the_lease_holder() {
+    let dir = scratch("drain-kill");
+    let mut cfg = config(&dir);
+    cfg.drain_grace = Duration::from_millis(300);
+    let state_dir = cfg.state_dir.clone();
+    let daemon = Daemon::new(cfg);
+    let addr = start(&daemon);
+
+    let id = daemon
+        .submit(parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap())
+        .expect("submit");
+
+    // The worker takes a lease, keeps heartbeating, and never reads the
+    // exit op: only the drain grace can end it.
+    let mut conn = dial(addr, "", "w-r1", wire::PROTO_VERSION, good_fp());
+    let hb = conn.start_heartbeats();
+    let (key, _) = conn.next_run();
+
+    daemon.begin_drain();
+    tick_wait(&daemon, "fleet drained by escalation", |d| {
+        d.alive_workers() == 0
+    });
+    hb.store(true, Ordering::Relaxed);
+
+    let fails: Vec<(String, String)> = journal_records(&state_dir, id)
+        .into_iter()
+        .filter_map(|r| match r {
+            JournalRecord::Failed(f) => Some((f.key, f.error)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(fails.len(), 1, "one charged attempt: {fails:?}");
+    assert_eq!(fails[0].0, key);
+    assert!(
+        fails[0].1.contains("worker w-r1 killed after drain grace"),
+        "the reason must name the worker that held the lease: {}",
+        fails[0].1
+    );
+    assert!(daemon.unfinished(), "the killed cell is resumable work");
 }

@@ -70,7 +70,7 @@ start_daemon() {
 }
 
 # Launches one remote worker dialing $waddr; appends its pid to
-# WORKER_PIDS. Workers name themselves w-tcp-<pid>, which /healthz now
+# WORKER_PIDS. Each worker's hello carries its pid, which /healthz
 # reports per slot, so a leased slot maps back to an OS pid.
 start_worker() {
     local log=$1
@@ -144,15 +144,14 @@ start_worker "$work/chaos-w1.log"   # stream 0: drop + partition
 start_worker "$work/chaos-w2.log"   # stream 1: delay + dup (kill -9 victim)
 start_worker "$work/chaos-w3.log"   # stream 2: corrupt
 
-# Kill a worker the moment /healthz shows its slot holding a lease.
-# Remote slots report pid 0, but the name field carries the worker's
-# self-chosen w-tcp-<pid> identity.
+# Kill a worker the moment /healthz shows its slot holding a lease;
+# the slot's pid field is the one the worker registered with.
 victim=""
 for _ in $(seq 1 300); do
     health=$(curl -sf "http://$addr/healthz" || true)
     victim=$(printf '%s' "$health" \
-        | grep -oE '"name":"w-tcp-[0-9]+","alive":true,"pid":0,"restarts":[0-9]+,"lease":"[^"]+"' \
-        | head -n 1 | grep -oE 'w-tcp-[0-9]+' | grep -oE '[0-9]+' || true)
+        | grep -oE '"pid":[0-9]+,"restarts":[0-9]+,"lease":"[^"]+"' \
+        | head -n 1 | grep -oE '"pid":[0-9]+' | cut -d: -f2 || true)
     [ -n "$victim" ] && break
     sleep 0.05
 done

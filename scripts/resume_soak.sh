@@ -130,7 +130,7 @@ for _ in $(seq 1 200); do
     health=$(curl -sf "http://$addr/healthz" || true)
     victim=$(printf '%s' "$health" \
         | grep -oE '"pid":[0-9]+,"restarts":[0-9]+,"lease":"[^"]+"' \
-        | head -n 1 | grep -oE '"pid":[0-9]+' | cut -d: -f2)
+        | head -n 1 | grep -oE '"pid":[0-9]+' | cut -d: -f2 || true)
     [ -n "$victim" ] && break
     sleep 0.1
 done
