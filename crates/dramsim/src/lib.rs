@@ -15,18 +15,31 @@
 //!   on the channel, with I/O energy scaled by the terminal capacitance
 //!   of all DIMMs.
 //!
+//! A simulation enqueues all of its traffic before one service call,
+//! so per-burst host state is kept small: a queued burst is a 32-byte
+//! entry holding the request id, row, arrival cycle and the compact
+//! rank/bank/bank-group/column coordinates the scheduler reads, and a
+//! request's completion is read on demand with
+//! [`MemorySystem::completion`] rather than returned for every request
+//! on every service call. [`MemorySystem::new`] refuses topologies
+//! beyond 256 ranks per channel, 256 banks per rank or 65,536 columns
+//! per row ([`MemorySystem::check_topology`]).
+//!
 //! # Example
 //!
 //! ```
 //! use dramsim::{DramConfig, MemorySystem, Request};
 //!
 //! let mut sys = MemorySystem::new(DramConfig::default());
-//! for i in 0..16u64 {
-//!     sys.enqueue(Request::read(i * 64, 64));
-//! }
+//! let ids: Vec<_> = (0..16u64)
+//!     .map(|i| sys.enqueue(Request::read(i * 64, 64)))
+//!     .collect();
 //! let report = sys.service_all();
 //! assert_eq!(report.stats.reads, 16);
 //! assert!(report.stats.effective_bandwidth(sys.config()) > 0.0);
+//! // Completion times are read per request, on demand.
+//! let last = ids.iter().filter_map(|&id| sys.completion(id)).map(|c| c.finish).max();
+//! assert_eq!(last, Some(report.stats.elapsed_cycles));
 //! ```
 
 #![warn(missing_docs)]

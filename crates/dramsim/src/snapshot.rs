@@ -39,7 +39,9 @@ pub struct InjectorSnapshot {
 pub struct BurstState {
     /// Owning request index.
     pub id: usize,
-    /// Burst-aligned physical address.
+    /// Burst-aligned physical address, recomposed from the queued
+    /// burst's coordinates; restore requires it to decode to the
+    /// channel whose queue holds it.
     pub addr: u64,
     /// Read or write.
     pub kind: RequestKind,
@@ -108,7 +110,9 @@ pub struct SystemState {
     pub fault_stats: FaultStats,
     /// Fault stats already published to telemetry.
     pub flushed_faults: FaultStats,
-    /// Per-request `(bursts remaining, first data_start, last finish)`.
+    /// Per-request `(bursts remaining, first data_start, last finish)`;
+    /// restore requires each request's bursts remaining to equal the
+    /// bursts it has queued across all channels.
     pub pending: Vec<(usize, u64, u64)>,
     /// Next request id to assign.
     pub next_id: usize,

@@ -107,24 +107,72 @@ struct ChannelState {
     perturb: audit::Perturbation,
 }
 
+/// One queued burst, decoded once at enqueue (and snapshot restore)
+/// into exactly the coordinates the scheduler, the issue path and the
+/// fault pipeline read, packed into 32 bytes: a simulation queues
+/// millions of bursts before its single service call, so this entry's
+/// size is most of the simulator's host memory. The channel is implied
+/// by the queue the burst sits in; the snapshot recomposes the
+/// burst-aligned address from the rest.
 #[derive(Debug, Clone, Copy)]
 struct Burst {
     id: RequestId,
-    addr: u64,
-    /// Decoded once at enqueue (and snapshot restore): FR-FCFS probes
-    /// every candidate's row on every pick, so re-mapping `addr` per
-    /// probe made scheduling cost a decode per window entry.
-    loc: Location,
+    row: u64,
+    arrival: u64,
+    /// Column (burst block) within the row; only the snapshot reads it.
+    column: u16,
+    /// Rank within the channel, `dimm * ranks_per_dimm + rank`.
+    rank: u8,
+    /// Bank within the rank, `bank_group * banks_per_group + bank`.
+    bank: u8,
+    bank_group: u8,
     kind: RequestKind,
     locality: Locality,
-    arrival: u64,
 }
 
-/// Result of servicing all queued requests.
+impl Burst {
+    /// Packs a decoded location; the topology was checked against the
+    /// compact widths by [`MemorySystem::check_topology`] when the
+    /// system was built.
+    fn new(
+        id: RequestId,
+        loc: Location,
+        kind: RequestKind,
+        locality: Locality,
+        arrival: u64,
+        config: &DramConfig,
+    ) -> Self {
+        Burst {
+            id,
+            row: loc.row,
+            arrival,
+            column: loc.column as u16,
+            rank: (loc.dimm * config.ranks_per_dimm + loc.rank) as u8,
+            bank: loc.bank_in_rank(config) as u8,
+            bank_group: loc.bank_group as u8,
+            kind,
+            locality,
+        }
+    }
+
+    /// The full location of this burst on channel `channel`.
+    fn location(&self, channel: usize, config: &DramConfig) -> Location {
+        Location {
+            channel,
+            dimm: usize::from(self.rank) / config.ranks_per_dimm,
+            rank: usize::from(self.rank) % config.ranks_per_dimm,
+            bank_group: usize::from(self.bank_group),
+            bank: usize::from(self.bank) % config.banks_per_group,
+            row: self.row,
+            column: usize::from(self.column),
+        }
+    }
+}
+
+/// Result of servicing all queued requests. Per-request completion
+/// times are read on demand with [`MemorySystem::completion`].
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Per-request completions, in enqueue order.
-    pub completions: Vec<Completion>,
     /// Cumulative statistics after servicing.
     pub stats: MemoryStats,
     /// Cumulative fault-injection accounting (all zero when no fault
@@ -138,8 +186,9 @@ pub struct Report {
 /// use dramsim::{DramConfig, MemorySystem, Request};
 /// let mut sys = MemorySystem::new(DramConfig::default());
 /// let id = sys.enqueue(Request::read(0, 64));
-/// let report = sys.service_all();
-/// let t = &report.completions[id.0];
+/// assert_eq!(sys.completion(id), None, "still queued");
+/// sys.service_all();
+/// let t = sys.completion(id).expect("serviced");
 /// // Idle-bank read: ACT@0, RD@tRCD, data at tRCD+tCL .. +tBL.
 /// assert_eq!(t.finish, 16 + 16 + 4);
 /// ```
@@ -204,7 +253,15 @@ struct AuditAccum {
 
 impl MemorySystem {
     /// Creates an idle memory system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology exceeds 256 ranks per channel, 256 banks
+    /// per rank or 65,536 columns per row.
     pub fn new(config: DramConfig) -> Self {
+        if let Err(e) = MemorySystem::check_topology(&config) {
+            panic!("{e}");
+        }
         let ranks_per_channel = config.dimms_per_channel * config.ranks_per_dimm;
         let channels = (0..config.channels)
             .map(|ch| ChannelState {
@@ -242,6 +299,24 @@ impl MemorySystem {
             audit: AuditAccum::default(),
             config,
         }
+    }
+
+    /// Checks that `config`'s topology fits the compact per-burst queue
+    /// entry: at most 256 ranks per channel, 256 banks per rank and
+    /// 65,536 columns per row. [`MemorySystem::new`] panics on a
+    /// topology that fails; code restoring a configuration read from
+    /// outside the program checks it first.
+    pub fn check_topology(config: &DramConfig) -> Result<(), String> {
+        let ranks = config.dimms_per_channel * config.ranks_per_dimm;
+        let banks = config.banks_per_rank();
+        let columns = config.row_bytes / config.burst_bytes.max(1);
+        if ranks > 1 << 8 || banks > 1 << 8 || columns > 1 << 16 {
+            return Err(format!(
+                "DRAM topology of {ranks} ranks per channel, {banks} banks per rank and \
+                 {columns} columns per row exceeds the scheduler's limits of 256, 256 and 65536"
+            ));
+        }
+        Ok(())
     }
 
     /// Creates a memory system with a fault model attached.
@@ -295,6 +370,22 @@ impl MemorySystem {
         &self.stats
     }
 
+    /// The completion of request `id` — the first data beat and the
+    /// last finish over all its bursts — once every burst has retired.
+    /// `None` until then, including when a fault aborted the service
+    /// before all of them retired, and for an id this system never
+    /// issued.
+    pub fn completion(&self, id: RequestId) -> Option<Completion> {
+        match *self.pending.get(id.0)? {
+            (0, data_start, finish) => Some(Completion {
+                id,
+                data_start,
+                finish,
+            }),
+            _ => None,
+        }
+    }
+
     /// Queues a request; larger-than-burst requests are split into
     /// sequential bursts and complete when their last burst finishes.
     ///
@@ -315,20 +406,22 @@ impl MemorySystem {
         for i in 0..bursts {
             let addr = req.addr + (i * self.config.burst_bytes) as u64;
             let loc = self.mapper.map(addr);
-            self.channels[loc.channel].queue.push_back(Burst {
+            let burst = Burst::new(
                 id,
-                addr,
                 loc,
-                kind: req.kind,
-                locality: req.locality,
-                arrival: req.arrival_cycle,
-            });
+                req.kind,
+                req.locality,
+                req.arrival_cycle,
+                &self.config,
+            );
+            self.channels[loc.channel].queue.push_back(burst);
         }
         id
     }
 
     /// Services every queued request with per-channel FR-FCFS
-    /// scheduling and returns the completions in enqueue order.
+    /// scheduling; read each request's times with
+    /// [`MemorySystem::completion`].
     ///
     /// Bank and bus state persists across calls, so a later
     /// `service_all` continues from the current timeline.
@@ -368,7 +461,6 @@ impl MemorySystem {
     /// lowest-indexed channel's error is reported. Telemetry is flushed
     /// either way so the trip is visible in the registry.
     pub fn try_service_all(&mut self) -> Result<Report, FaultError> {
-        let first_new = self.pending.iter().position(|&(n, _, _)| n > 0);
         let mut aborted = None;
         for out in self.service_channels() {
             // Ordered merge: outcomes arrive in channel order, so every
@@ -416,16 +508,6 @@ impl MemorySystem {
             return Err(e);
         }
 
-        let start = first_new.unwrap_or(self.pending.len());
-        let completions = self.pending[start..]
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, data_start, finish))| Completion {
-                id: RequestId(start + i),
-                data_start,
-                finish,
-            })
-            .collect();
         // The health census is a point-in-time classification, not a
         // counter: set it on the emitted report (idempotent across
         // service calls) rather than folding it into the accumulator.
@@ -436,7 +518,6 @@ impl MemorySystem {
             faults.ranks_tripped = t;
         }
         Ok(Report {
-            completions,
             stats: self.stats,
             faults,
         })
@@ -583,8 +664,10 @@ impl MemorySystem {
     }
 
     /// Builds a system directly from a state image: `new` under the
-    /// image's configuration, then [`checkpoint::Restore::restore`].
+    /// image's configuration, then [`checkpoint::Restore::restore`]. A
+    /// topology `new` would refuse is a restore error here.
     pub fn from_state(state: &SystemState) -> Result<Self, checkpoint::RestoreError> {
+        MemorySystem::check_topology(&state.config).map_err(checkpoint::RestoreError::new)?;
         let mut sys = MemorySystem::new(state.config);
         checkpoint::Restore::restore(&mut sys, state)?;
         Ok(sys)
@@ -818,11 +901,11 @@ impl ChannelWorker<'_> {
         self.out
     }
 
-    /// Global rank index of a location, unique across channels (used to
+    /// Global rank index of a burst, unique across channels (used to
     /// key persistent faults and the stall mask).
-    fn global_rank(&self, loc: &Location) -> usize {
+    fn global_rank(&self, burst: &Burst) -> usize {
         let ranks_per_channel = self.config.dimms_per_channel * self.config.ranks_per_dimm;
-        self.ch * ranks_per_channel + loc.dimm * self.config.ranks_per_dimm + loc.rank
+        self.ch * ranks_per_channel + usize::from(burst.rank)
     }
 
     fn record_serviced(&mut self, id: RequestId, data_start: u64, finish: u64) {
@@ -848,7 +931,7 @@ impl ChannelWorker<'_> {
             if let Some((injector, watchdog)) = faults.as_mut() {
                 let b = &self.state.queue[pick];
                 let bus_only = matches!(b.locality, Locality::Broadcast | Locality::DirectSend);
-                if !bus_only && injector.rank_is_stalled(self.global_rank(&b.loc)) {
+                if !bus_only && injector.rank_is_stalled(self.global_rank(b)) {
                     // A permanently stalled rank never retires its
                     // bursts: rotate to the back of the queue and count
                     // a no-progress round. Without the watchdog this
@@ -873,7 +956,7 @@ impl ChannelWorker<'_> {
                 }
             }
             let burst = self.state.queue.remove(pick).expect("pick in range");
-            let (data_start, mut finish) = self.issue_burst(&burst, burst.loc);
+            let (data_start, mut finish) = self.issue_burst(&burst);
             if let Some((injector, watchdog)) = faults.as_mut() {
                 finish += self.apply_burst_faults(&burst, injector)?;
                 watchdog.progress();
@@ -905,9 +988,8 @@ impl ChannelWorker<'_> {
             // (drops/corruption) live in the broadcast layer upstream.
             return Ok(0);
         }
-        let loc = &burst.loc;
-        let global_rank = self.global_rank(loc);
-        let bank = loc.bank_in_rank(self.config);
+        let global_rank = self.global_rank(burst);
+        let bank = usize::from(burst.bank);
         let t = self.config.timing;
         let mut extra = 0u64;
 
@@ -938,7 +1020,7 @@ impl ChannelWorker<'_> {
                                     request: burst.id.0 as u64,
                                     rank: global_rank,
                                     bank,
-                                    row: loc.row,
+                                    row: burst.row,
                                     kind: MemErrorKind::UncorrectableEcc,
                                 }
                                 .into());
@@ -963,7 +1045,7 @@ impl ChannelWorker<'_> {
         if injector.bank_is_failed(global_rank, bank) {
             self.out.fault_stats.bank_remaps += 1;
             extra += t.t_rc;
-        } else if injector.row_is_stuck(global_rank, bank, loc.row) {
+        } else if injector.row_is_stuck(global_rank, bank, burst.row) {
             self.out.fault_stats.row_remaps += 1;
             extra += t.t_rp + t.t_rcd;
         }
@@ -986,17 +1068,15 @@ impl ChannelWorker<'_> {
             if matches!(b.locality, Locality::Broadcast | Locality::DirectSend) {
                 continue; // bus-only transfers have no row to hit
             }
-            let loc = b.loc;
-            let rank = &self.state.ranks[loc.dimm * self.config.ranks_per_dimm + loc.rank];
-            let bank = &rank.banks[loc.bank_in_rank(self.config)];
-            if bank.open_row == Some(loc.row) {
+            let bank = &self.state.ranks[usize::from(b.rank)].banks[usize::from(b.bank)];
+            if bank.open_row == Some(b.row) {
                 return i;
             }
         }
         0
     }
 
-    fn issue_burst(&mut self, burst: &Burst, loc: Location) -> (u64, u64) {
+    fn issue_burst(&mut self, burst: &Burst) -> (u64, u64) {
         let t = self.config.timing;
         let e = self.config.energy;
         let bits = (self.config.burst_bytes * 8) as f64;
@@ -1026,10 +1106,10 @@ impl ChannelWorker<'_> {
             return (data_start, finish);
         }
 
-        let ranks_per_dimm = self.config.ranks_per_dimm;
-        let bank_idx = loc.bank_in_rank(self.config);
-        let group = loc.bank_group;
-        let rank_idx = loc.dimm * ranks_per_dimm + loc.rank;
+        let bank_idx = usize::from(burst.bank);
+        let group = usize::from(burst.bank_group);
+        let rank_idx = usize::from(burst.rank);
+        let row = burst.row;
         let rank = &mut self.state.ranks[rank_idx];
 
         // --- Periodic refresh (tREFI/tRFC): when the burst's epoch
@@ -1057,7 +1137,7 @@ impl ChannelWorker<'_> {
         }
 
         // --- Row management. ---
-        let hit = rank.banks[bank_idx].open_row == Some(loc.row);
+        let hit = rank.banks[bank_idx].open_row == Some(row);
         if !hit {
             let bank = &mut rank.banks[bank_idx];
             let mut act_earliest = bank.next_act.max(burst.arrival);
@@ -1100,7 +1180,7 @@ impl ChannelWorker<'_> {
                     act
                 };
             let bank = &mut rank.banks[bank_idx];
-            bank.open_row = Some(loc.row);
+            bank.open_row = Some(row);
             bank.next_act = act + t.t_rc;
             bank.next_col = act + t.t_rcd;
             bank.next_pre = act + (t.t_rc - t.t_rp); // tRAS
@@ -1115,7 +1195,7 @@ impl ChannelWorker<'_> {
             self.out.stats.energy.activate_pj += e.act_pre_pj;
             self.state
                 .checker
-                .observe_act(rank_idx, bank_idx, group, loc.row, act, &t);
+                .observe_act(rank_idx, bank_idx, group, row, act, &t);
         } else {
             self.out.stats.row_hits += 1;
         }
@@ -1156,7 +1236,7 @@ impl ChannelWorker<'_> {
             rank_idx,
             bank_idx,
             group,
-            loc.row,
+            row,
             burst.kind,
             col,
             data_start,
@@ -1245,7 +1325,8 @@ impl checkpoint::Snapshot for MemorySystem {
             channels: self
                 .channels
                 .iter()
-                .map(|ch| ChannelSnapshot {
+                .enumerate()
+                .map(|(ch_idx, ch)| ChannelSnapshot {
                     ranks: ch
                         .ranks
                         .iter()
@@ -1275,7 +1356,7 @@ impl checkpoint::Snapshot for MemorySystem {
                         .iter()
                         .map(|b| BurstState {
                             id: b.id.0,
-                            addr: b.addr,
+                            addr: self.mapper.compose(b.location(ch_idx, &self.config)),
                             kind: b.kind,
                             locality: b.locality,
                             arrival: b.arrival,
@@ -1312,6 +1393,10 @@ impl checkpoint::Restore for MemorySystem {
                 state.pending.len()
             )));
         }
+        // Bursts each request still has queued, checked against the
+        // ledger below: servicing retires exactly one ledger burst per
+        // queued burst.
+        let mut queued = vec![0usize; state.pending.len()];
         for (c, ch) in state.channels.iter().enumerate() {
             if ch.ranks.len() != ranks_per_channel {
                 return Err(RestoreError::new(format!(
@@ -1330,12 +1415,28 @@ impl checkpoint::Restore for MemorySystem {
                 }
             }
             for b in &ch.queue {
-                if b.id >= state.pending.len() {
+                let Some(n) = queued.get_mut(b.id) else {
                     return Err(RestoreError::new(format!(
                         "channel {c}: queued burst references unknown request {}",
                         b.id
                     )));
+                };
+                *n += 1;
+                let home = self.mapper.map(b.addr).channel;
+                if home != c {
+                    return Err(RestoreError::new(format!(
+                        "channel {c}: queued burst of request {} at {:#x} belongs to channel {home}",
+                        b.id, b.addr
+                    )));
                 }
+            }
+        }
+        for (id, (&(outstanding, _, _), &in_queue)) in state.pending.iter().zip(&queued).enumerate()
+        {
+            if outstanding != in_queue {
+                return Err(RestoreError::new(format!(
+                    "request {id}: ledger says {outstanding} bursts outstanding but {in_queue} are queued"
+                )));
             }
         }
 
@@ -1399,13 +1500,10 @@ impl checkpoint::Restore for MemorySystem {
                 queue: ch
                     .queue
                     .iter()
-                    .map(|b| Burst {
-                        id: RequestId(b.id),
-                        addr: b.addr,
-                        loc: self.mapper.map(b.addr),
-                        kind: b.kind,
-                        locality: b.locality,
-                        arrival: b.arrival,
+                    .map(|b| {
+                        let loc = self.mapper.map(b.addr);
+                        let id = RequestId(b.id);
+                        Burst::new(id, loc, b.kind, b.locality, b.arrival, &self.config)
                     })
                     .collect(),
                 tally: ChanTally::default(),
@@ -1451,12 +1549,26 @@ mod tests {
         }
     }
 
+    /// The completion of the `i`-th request issued to `sys`, which
+    /// must have retired.
+    #[track_caller]
+    fn done(sys: &MemorySystem, i: usize) -> Completion {
+        sys.completion(RequestId(i)).expect("request retired")
+    }
+
+    /// Every issued request's completion, in issue order.
+    fn all_completions(sys: &MemorySystem) -> Vec<Option<Completion>> {
+        (0..sys.next_id)
+            .map(|i| sys.completion(RequestId(i)))
+            .collect()
+    }
+
     #[test]
     fn idle_read_latency() {
         let mut sys = MemorySystem::new(single_channel());
         sys.enqueue(Request::read(0, 64));
         let r = sys.service_all();
-        let t = &r.completions[0];
+        let t = done(&sys, 0);
         // ACT@0, RD@tRCD=16, data @ 32..36.
         assert_eq!(t.data_start, 32);
         assert_eq!(t.finish, 36);
@@ -1474,7 +1586,7 @@ mod tests {
         assert_eq!(r.stats.row_hits, 1);
         // Second read: col at tCCD_L after first col (same bank group),
         // data 16+6+16=38..42 — well before a fresh ACT would allow.
-        assert_eq!(r.completions[1].finish, 42);
+        assert_eq!(done(&sys, 1).finish, 42);
     }
 
     #[test]
@@ -1507,7 +1619,7 @@ mod tests {
         assert_eq!(r.stats.activates, 2);
         // Second: PRE at tRAS=39, ACT at 39+16=55 (=tRC), RD at 71,
         // data 87..91.
-        assert_eq!(r.completions[1].finish, 91);
+        assert_eq!(done(&sys, 1).finish, 91);
     }
 
     #[test]
@@ -1532,7 +1644,7 @@ mod tests {
         assert_eq!(r.stats.activates, 5);
         // ACTs at 0, 4, 8, 12 (tRRD_S); the fifth must wait for
         // tFAW=26 from the first: data at 26+16+16=58..62.
-        assert_eq!(r.completions[4].finish, 62);
+        assert_eq!(done(&sys, 4).finish, 62);
     }
 
     #[test]
@@ -1626,7 +1738,7 @@ mod tests {
         let mut sys = MemorySystem::new(cfg);
         let id = sys.enqueue(Request::read(0, 256)); // 4 bursts
         let r = sys.service_all();
-        let c = &r.completions[id.0];
+        let c = sys.completion(id).expect("serviced");
         assert!(c.finish > c.data_start + 4);
         assert_eq!(r.stats.reads, 4);
     }
@@ -1650,12 +1762,18 @@ mod tests {
     #[test]
     fn stats_accumulate_across_service_calls() {
         let mut sys = MemorySystem::new(single_channel());
-        sys.enqueue(Request::read(0, 64));
+        let first = sys.enqueue(Request::read(0, 64));
         sys.service_all();
-        sys.enqueue(Request::read(1 << 20, 64));
+        let before = sys.completion(first);
+        let second = sys.enqueue(Request::read(1 << 20, 64));
         let r = sys.service_all();
         assert_eq!(r.stats.reads, 2);
-        assert_eq!(r.completions.len(), 1, "only new completions returned");
+        assert_eq!(
+            sys.completion(first),
+            before,
+            "earlier completions stay put"
+        );
+        assert!(sys.completion(second).expect("serviced").finish > before.unwrap().finish);
     }
 
     #[test]
@@ -1695,9 +1813,9 @@ mod tests {
         let r = sys.service_all();
         assert_eq!(r.stats.row_misses, 2, "row closed by refresh");
         assert!(
-            r.completions[1].data_start >= t.t_refi + t.t_rfc,
+            done(&sys, 1).data_start >= t.t_refi + t.t_rfc,
             "second read must wait out the refresh window: {} < {}",
-            r.completions[1].data_start,
+            done(&sys, 1).data_start,
             t.t_refi + t.t_rfc
         );
         assert!(r.stats.energy.refresh_pj > 0.0);
@@ -1719,8 +1837,8 @@ mod tests {
     fn completions_respect_arrival() {
         let mut sys = MemorySystem::new(single_channel());
         sys.enqueue(Request::read(0, 64).at_cycle(1000));
-        let r = sys.service_all();
-        assert!(r.completions[0].data_start >= 1000);
+        sys.service_all();
+        assert!(done(&sys, 0).data_start >= 1000);
     }
 
     #[test]
@@ -1734,10 +1852,7 @@ mod tests {
         let a = plain.service_all();
         let b = faulty.try_service_all().expect("zero-rate cannot fail");
         assert_eq!(a.stats, b.stats);
-        assert_eq!(a.completions.len(), b.completions.len());
-        for (x, y) in a.completions.iter().zip(&b.completions) {
-            assert_eq!((x.data_start, x.finish), (y.data_start, y.finish));
-        }
+        assert_eq!(all_completions(&plain), all_completions(&faulty));
         assert!(b.faults.is_empty());
     }
 
@@ -1919,10 +2034,7 @@ mod tests {
         let b = resumed.try_service_all().expect("recoverable faults");
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.faults, b.faults);
-        assert_eq!(a.completions.len(), b.completions.len());
-        for (x, y) in a.completions.iter().zip(&b.completions) {
-            assert_eq!(x, y);
-        }
+        assert_eq!(all_completions(&reference), all_completions(&resumed));
     }
 
     #[test]
@@ -1937,6 +2049,187 @@ mod tests {
         tampered.channels[0].ranks.pop();
         let mut same_cfg = MemorySystem::new(single_channel());
         assert!(same_cfg.restore(&tampered).is_err(), "rank layout differs");
+    }
+
+    #[test]
+    fn restore_rejects_a_burst_queued_on_the_wrong_channel() {
+        use checkpoint::Snapshot;
+        let mut sys = MemorySystem::new(DramConfig::default());
+        sys.enqueue(Request::read(0, 64)); // decodes to channel 0
+        let mut state = sys.snapshot();
+        let burst = state.channels[0].queue.pop().expect("queued");
+        state.channels[1].queue.push(burst);
+        let err = MemorySystem::from_state(&state).expect_err("misplaced burst");
+        assert!(err.0.contains("belongs to channel 0"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_a_ledger_that_disagrees_with_the_queues() {
+        use checkpoint::Snapshot;
+        let mut sys = MemorySystem::new(single_channel());
+        sys.enqueue(Request::read(0, 128)); // two bursts
+        let state = sys.snapshot();
+        assert!(MemorySystem::from_state(&state).is_ok());
+        // More bursts queued than outstanding: servicing them would
+        // drive the ledger count below zero.
+        let mut overfull = state.clone();
+        overfull.pending[0].0 = 1;
+        // Fewer: the request could never complete.
+        let mut short = state;
+        short.channels[0].queue.pop();
+        for bad in [overfull, short] {
+            let err = MemorySystem::from_state(&bad).expect_err("inconsistent ledger");
+            assert!(err.0.contains("request 0: ledger says"), "{err}");
+        }
+    }
+
+    #[test]
+    fn from_state_refuses_a_topology_wider_than_a_burst_entry() {
+        use checkpoint::Snapshot;
+        let mut state = MemorySystem::new(single_channel()).snapshot();
+        state.config.dimms_per_channel = 129; // 258 ranks per channel
+        let err = MemorySystem::from_state(&state).expect_err("too many ranks");
+        assert!(err.0.contains("258 ranks per channel"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the scheduler's limits")]
+    fn new_refuses_a_topology_wider_than_a_burst_entry() {
+        MemorySystem::new(DramConfig {
+            banks_per_group: 65, // 260 banks per rank
+            ..single_channel()
+        });
+    }
+
+    #[test]
+    fn burst_entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Burst>(), 32);
+    }
+
+    #[test]
+    fn compact_bursts_round_trip_at_the_topology_limits() {
+        use checkpoint::Snapshot;
+        // 256 ranks per channel, 256 banks per rank, 65,536 columns.
+        let cfg = DramConfig {
+            channels: 2,
+            dimms_per_channel: 128,
+            ranks_per_dimm: 2,
+            bank_groups: 16,
+            banks_per_group: 16,
+            row_bytes: 64 << 16,
+            ..DramConfig::default()
+        };
+        let mapper = AddressMapper::new(cfg);
+        let last = Location {
+            channel: 1,
+            dimm: 127,
+            rank: 1,
+            bank_group: 15,
+            bank: 15,
+            row: 3,
+            column: (1 << 16) - 1,
+        };
+        let mut sys = MemorySystem::new(cfg);
+        sys.enqueue(Request::local_read(mapper.compose(last), 64));
+        let state = sys.snapshot();
+        assert_eq!(state.channels[1].queue[0].addr, mapper.compose(last));
+        let mut resumed = MemorySystem::from_state(&state).expect("fits");
+        assert_eq!(resumed.snapshot(), state);
+        resumed.service_all();
+        assert_eq!(resumed.stats().local_bytes, 64);
+    }
+
+    #[test]
+    fn completion_is_none_until_every_burst_of_the_request_retires() {
+        let cfg = DramConfig::default();
+        let mapper = AddressMapper::new(cfg);
+        // Row conflicts queued ahead on channel 2 delay that channel's
+        // share of the striped request.
+        let busy_channel_2 = |sys: &mut MemorySystem| {
+            for row in 1..4 {
+                let loc = Location {
+                    channel: 2,
+                    dimm: 0,
+                    rank: 0,
+                    bank_group: 0,
+                    bank: 0,
+                    row,
+                    column: 0,
+                };
+                sys.enqueue(Request::read(mapper.compose(loc), 64));
+            }
+        };
+        let mut striped = MemorySystem::new(cfg);
+        busy_channel_2(&mut striped);
+        let id = striped.enqueue(Request::read(0, 256)); // one burst per channel
+        assert_eq!(striped.completion(id), None, "queued");
+        striped.service_all();
+        // The same four bursts as separate requests, in the same order.
+        let mut split = MemorySystem::new(cfg);
+        busy_channel_2(&mut split);
+        let ids: Vec<RequestId> = (0..4u64)
+            .map(|i| split.enqueue(Request::read(i * 64, 64)))
+            .collect();
+        split.service_all();
+        let parts: Vec<Completion> = ids.iter().map(|&p| done(&split, p.0)).collect();
+        let c = striped.completion(id).expect("retired");
+        assert_eq!(c.id, id);
+        let first = parts.iter().map(|p| p.data_start).min();
+        let last = parts.iter().map(|p| p.finish).max();
+        assert_eq!((Some(c.data_start), Some(c.finish)), (first, last));
+        assert!(parts[2].finish > parts[0].finish, "channel 2 finishes last");
+        assert_eq!(
+            striped.completion(RequestId(id.0 + 1)),
+            None,
+            "never issued"
+        );
+
+        // A stalled rank on channel 1 trips that channel's watchdog: the
+        // striped request's channel-1 burst stays queued after the abort.
+        let faults = FaultConfig {
+            stalled_rank_mask: 1 << 4, // channel 1, rank 0
+            watchdog_limit: 50,
+            ..FaultConfig::off()
+        };
+        let mut aborted = MemorySystem::with_faults(cfg, faults);
+        let healthy = aborted.enqueue(Request::read(0, 64)); // channel 0
+        let stuck = aborted.enqueue(Request::read(0, 256));
+        assert!(matches!(
+            aborted.try_service_all(),
+            Err(FaultError::Watchdog(_))
+        ));
+        assert!(aborted.completion(healthy).is_some());
+        assert_eq!(aborted.completion(stuck), None, "a burst is still queued");
+    }
+
+    /// Digest of the snapshot JSON of a fixed mixed stream — channel,
+    /// rank-local, broadcast and direct-send traffic, several requests
+    /// multi-burst — serviced once and then enqueued again. Recorded
+    /// when queued bursts still stored their raw address, so it pins
+    /// the recomposed `addr` to the bytes the raw field produced.
+    #[test]
+    fn snapshot_bytes_match_the_golden_digest() {
+        use checkpoint::Snapshot;
+        let mut sys = MemorySystem::new(DramConfig::default());
+        let stream = |sys: &mut MemorySystem, base: u64| {
+            for i in 0..96u64 {
+                let addr = base + i * 13 * 64 + ((i % 5) << 21);
+                let req = match i % 6 {
+                    0 => Request::read(addr, 64),
+                    1 => Request::local_write(addr, 192),
+                    2 => Request::broadcast_write(addr, 128),
+                    3 => Request::local_read(addr, 64),
+                    4 => Request::direct_send(addr, 64),
+                    _ => Request::write(addr, 256),
+                };
+                sys.enqueue(req.at_cycle(i * 40));
+            }
+        };
+        stream(&mut sys, 0);
+        sys.service_all();
+        stream(&mut sys, 1 << 30);
+        let json = serde_json::to_string(&sys.snapshot()).expect("serializes");
+        assert_eq!(checkpoint::fnv1a64(json.as_bytes()), 0x0bd3_18cb_1910_f7f2);
     }
 
     #[test]
@@ -1966,14 +2259,15 @@ mod tests {
                     .try_service_all()
                     .expect("low fault rates stay recoverable");
                 crate::parallel::set_threads(0);
-                report
+                (report, all_completions(&sys))
             };
-            let serial = run_with(1);
-            let threaded = run_with(4);
+            let (serial, serial_done) = run_with(1);
+            let (threaded, threaded_done) = run_with(4);
             assert_eq!(serial.stats, threaded.stats);
             assert_eq!(serial.faults, threaded.faults);
-            assert_eq!(serial.completions, threaded.completions);
-            assert_eq!(serial.completions.len(), 4096);
+            assert_eq!(serial_done, threaded_done);
+            assert_eq!(serial_done.len(), 4096);
+            assert!(serial_done.iter().all(Option::is_some));
         }
     }
 
@@ -2225,8 +2519,8 @@ mod tests {
             let mut sys = MemorySystem::new(single_channel());
             sys.audit_perturb(Perturbation::EarlyPrecharge);
             sys.enqueue(Request::read(0, 64));
-            let r = sys.service_all();
-            assert_eq!(r.completions[0].finish, 36);
+            sys.service_all();
+            assert_eq!(done(&sys, 0).finish, 36);
             assert!(sys.audit_report(true).is_clean());
         }
     }

@@ -690,6 +690,7 @@ impl ResumableRun {
     /// Returns [`RestoreError`] when the image was taken under a
     /// different configuration or is internally inconsistent.
     pub fn from_state(state: &FunctionalState) -> Result<Self, RestoreError> {
+        MemorySystem::check_topology(&state.config.dram).map_err(RestoreError::new)?;
         let mut run = ResumableRun::new(state.config);
         checkpoint::Restore::restore(&mut run, state)?;
         Ok(run)
@@ -1849,6 +1850,13 @@ mod tests {
         let mut other = good.clone();
         other.current = None;
         assert!(other.next_start != 0, "step(5) must be mid-metapath");
+        assert!(ResumableRun::from_state(&other).is_err());
+
+        // A DRAM topology wider than the scheduler's queue entries is a
+        // restore error, not the memory system's constructor panic.
+        let mut other = good.clone();
+        other.config.dram.dimms_per_channel = 200;
+        other.mem.config = other.config.dram;
         assert!(ResumableRun::from_state(&other).is_err());
 
         // The unmodified image restores fine.
