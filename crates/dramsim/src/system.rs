@@ -529,9 +529,6 @@ impl MemorySystem {
     /// hot path never takes the registry lock; global counters receive
     /// the delta since the previous flush, histograms merge and reset.
     fn flush_telemetry(&mut self) {
-        if !obs::is_enabled() {
-            return;
-        }
         #[cfg(feature = "audit")]
         {
             let total = self.audit.violations.len() as u64;
@@ -1278,20 +1275,18 @@ impl ChannelWorker<'_> {
         }
         let rank = &mut self.state.ranks[rank_idx];
         rank.busy_tally += t.t_bl;
-        if obs::is_enabled() {
-            // Coalesce per-rank busy windows into gap-merged segments
-            // so the simulated-time trace stays compact; closed windows
-            // are buffered and emitted at the flush barrier.
-            match rank.activity {
-                Some((s, e)) if data_start <= e + ACTIVITY_GAP => {
-                    rank.activity = Some((s, e.max(finish)));
-                }
-                Some((s, e)) => {
-                    self.out.slices.push((rank_idx, s, e - s));
-                    rank.activity = Some((data_start, finish));
-                }
-                None => rank.activity = Some((data_start, finish)),
+        // Coalesce per-rank busy windows into gap-merged segments so
+        // the simulated-time trace stays compact; closed windows are
+        // buffered and emitted at the flush barrier.
+        match rank.activity {
+            Some((s, e)) if data_start <= e + ACTIVITY_GAP => {
+                rank.activity = Some((s, e.max(finish)));
             }
+            Some((s, e)) => {
+                self.out.slices.push((rank_idx, s, e - s));
+                rank.activity = Some((data_start, finish));
+            }
+            None => rank.activity = Some((data_start, finish)),
         }
         (data_start, finish)
     }

@@ -67,15 +67,6 @@ pub enum ExpError {
         /// Sweep state directory to pass to `--resume`.
         dir: std::path::PathBuf,
     },
-    /// A sweep cell exceeded `--cell-timeout` and was cancelled
-    /// cooperatively. The sweep journals the attempt as failed and
-    /// errors out instead of wedging the worker pool.
-    CellTimeout {
-        /// Journal key of the timed-out cell.
-        key: String,
-        /// The configured wall-clock budget, in seconds.
-        secs: u64,
-    },
 }
 
 impl std::fmt::Display for ExpError {
@@ -86,11 +77,6 @@ impl std::fmt::Display for ExpError {
                 f,
                 "interrupted; state saved — resume with --resume {}",
                 dir.display()
-            ),
-            ExpError::CellTimeout { key, secs } => write!(
-                f,
-                "cell {key:?} exceeded its {secs}s wall-clock budget and was cancelled \
-                 (raise --cell-timeout or shrink the cell)"
             ),
         }
     }
@@ -127,10 +113,6 @@ pub struct Ctx {
     /// the cell-level worker pool; everything else inherits it through
     /// [`dramsim::parallel::set_threads`]. Results never depend on it.
     pub jobs: usize,
-    /// Per-cell wall-clock budget from `--cell-timeout <s>` (`None` =
-    /// unbounded). A cell past its budget is cancelled at the next
-    /// checkpoint-chunk boundary and journaled as a failed attempt.
-    pub cell_timeout: Option<std::time::Duration>,
 }
 
 /// Resolves a `--jobs` value to a concrete worker count: `0` ("auto")

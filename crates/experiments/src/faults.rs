@@ -146,16 +146,8 @@ fn run_one(cx: &Ctx, key: &str, faults: FaultConfig) -> Result<SimulationOutcome
             .checkpoint_interval(sweep.interval);
     }
     let sim = builder.build().ctx("faults: simulator configuration")?;
-    // Under a `--cell-timeout` budget the cell runs with its own cancel
-    // token (the pool's watchdog forwards global interrupts into it);
-    // otherwise the process-global interrupt flag is watched directly.
-    let cancel = sweep::current_cancel();
-    let stop = match cancel.as_deref() {
-        Some(token) => token.flag(),
-        None => sweep::interrupt_flag(),
-    };
     match sim
-        .run_interruptible(stop)
+        .run_interruptible(sweep::interrupt_flag())
         .ctx("faults: end-to-end simulation")?
     {
         RunStatus::Complete(outcome) => Ok(outcome),

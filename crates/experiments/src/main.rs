@@ -29,10 +29,6 @@
 //!   --resume <dir>        resume a journaled sweep from <dir>
 //!   --ckpt-interval <n>   in-run checkpoint granularity in start
 //!                         vertices (default 256)
-//!   --cell-timeout <s>    per-cell wall-clock budget in seconds; a
-//!                         cell over budget is cancelled cooperatively
-//!                         and journaled as a failed attempt instead of
-//!                         wedging the --jobs pool (default unbounded)
 //!   --connect <addr>      run as a sweepd worker: dial the coordinator's
 //!                         --worker-listen port, register over the
 //!                         versioned handshake, and compute leased cells
@@ -109,7 +105,6 @@ fn usage() {
     eprintln!("  --sweep-dir <dir>     journal sweep cells under <dir> (fresh sweep)");
     eprintln!("  --resume <dir>        resume a journaled sweep from <dir>");
     eprintln!("  --ckpt-interval <n>   in-run checkpoint granularity (default 256)");
-    eprintln!("  --cell-timeout <s>    per-cell wall-clock budget in seconds (default unbounded)");
     eprintln!("  --connect <addr>      run as a sweepd worker dialing its worker listener");
     eprintln!("  --grid <exp>          print the experiment's cell grid as JSON and exit");
     eprintln!("  --heartbeat-ms <n>    worker liveness heartbeat period (default 100)");
@@ -131,7 +126,6 @@ fn main() -> ExitCode {
     let mut sweep_dir: Option<String> = None;
     let mut resume = false;
     let mut ckpt_interval: u64 = 256;
-    let mut cell_timeout: Option<std::time::Duration> = None;
     let mut connect: Option<String> = None;
     let mut grid_exp: Option<String> = None;
     let mut heartbeat_ms: u64 = 100;
@@ -163,7 +157,7 @@ fn main() -> ExitCode {
                 };
                 grid_exp = Some(exp);
             }
-            "--seed" | "--ckpt-interval" | "--jobs" | "--cell-timeout" | "--heartbeat-ms" => {
+            "--seed" | "--ckpt-interval" | "--jobs" | "--heartbeat-ms" => {
                 let Some(v) = it.next() else {
                     eprintln!("{arg} requires an unsigned integer argument");
                     return ExitCode::from(2);
@@ -175,13 +169,6 @@ fn main() -> ExitCode {
                 match arg.as_str() {
                     "--seed" => seed = n,
                     "--jobs" => jobs = n as usize,
-                    "--cell-timeout" => {
-                        if n == 0 {
-                            eprintln!("--cell-timeout must be positive");
-                            return ExitCode::from(2);
-                        }
-                        cell_timeout = Some(std::time::Duration::from_secs(n));
-                    }
                     "--heartbeat-ms" => {
                         if n == 0 {
                             eprintln!("--heartbeat-ms must be positive");
@@ -242,7 +229,6 @@ fn main() -> ExitCode {
         seed,
         sweep: sweep_opts,
         jobs,
-        cell_timeout,
     };
 
     // One-shot grid mode: print the shard list and exit.
@@ -351,8 +337,7 @@ fn main() -> ExitCode {
 }
 
 /// Prints the per-phase wall-clock summary collected by the telemetry
-/// spans during the run (skipped when telemetry is compiled out or no
-/// instrumented phase executed).
+/// spans during the run (skipped when no instrumented phase executed).
 fn phase_summary() {
     let snap = obs::snapshot();
     if snap.phases.is_empty() {

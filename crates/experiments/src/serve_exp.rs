@@ -561,7 +561,6 @@ mod tests {
             seed: 42,
             sweep: None,
             jobs: 1,
-            cell_timeout: None,
         };
         let a = overload_cell_hash(&cx, 10.0, true, OVERLOAD_SCENARIO);
         let b = overload_cell_hash(&cx, 10.0, false, OVERLOAD_SCENARIO);
@@ -583,7 +582,6 @@ mod tests {
             seed: 42,
             sweep: None,
             jobs: 1,
-            cell_timeout: None,
         };
         let a = cell_hash(&cx, 10.0, 0);
         let b = cell_hash(&cx, 20.0, 0);

@@ -1,7 +1,7 @@
 //! Resumable sweep execution: cell journaling and interrupt plumbing.
 //!
-//! A sweep experiment wraps each unit of work (a "cell") in
-//! [`SweepRunner::cell`]. With `--sweep-dir` set, every completed cell
+//! A sweep experiment hands its units of work ("cells") to
+//! [`SweepRunner::cells`]. With `--sweep-dir` set, every completed cell
 //! is appended to a JSONL journal ([`checkpoint::manifest::Journal`])
 //! keyed by the cell's configuration hash; `--resume` replays journaled
 //! cells from their stored result JSON instead of re-simulating, so an
@@ -15,20 +15,19 @@
 //! [`metanmp::Simulator::run_interruptible`], persisting an in-flight
 //! snapshot so even a half-finished cell resumes mid-simulation.
 //!
-//! [`SweepRunner::cells`] runs a whole batch of cells over a worker
-//! pool sized by `--jobs`. Workers only compute; the folding thread
-//! journals, merges telemetry, and reports in canonical (spec) order,
-//! so every artifact — journal, tables, JSON, telemetry snapshot — is
-//! byte-identical at any worker count.
+//! The cells run over a worker pool sized by `--jobs` (one worker at
+//! `--jobs 1`). Workers only compute; the folding thread journals,
+//! merges telemetry, and reports in canonical (spec) order, so every
+//! artifact — journal, tables, JSON, telemetry snapshot — is
+//! byte-identical at any worker count. Per-cell wall-clock budgets are
+//! `sweepd`'s job (`cell_timeout_s`), not this runner's.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
 
-use checkpoint::manifest::{cell_record, CellRecord, FailRecord, Journal, JournalHeader};
+use checkpoint::manifest::{cell_record, CellRecord, Journal, JournalHeader};
 use checkpoint::FORMAT_VERSION;
 use serde::{Deserialize, Serialize};
 
@@ -90,83 +89,15 @@ pub fn install_signal_handlers() {
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
 
-/// Per-cell cooperative cancellation handle.
-///
-/// While a cell runs under a wall-clock budget (`--cell-timeout`), the
-/// runner's watchdog thread trips `flag` when the budget expires (or
-/// when a process-global interrupt arrives), and the cell's simulation
-/// notices at its next checkpoint-chunk boundary — the same mechanism
-/// SIGINT uses. `timed_out` distinguishes a budget expiry from an
-/// operator interrupt so the cell can be journaled as a *failed
-/// attempt* rather than a resumable stop.
-#[derive(Debug, Default)]
-pub struct CancelToken {
-    flag: AtomicBool,
-    timed_out: AtomicBool,
-    /// Budget in seconds, for the structured timeout error.
-    budget_secs: u64,
-}
-
-impl CancelToken {
-    fn new(budget: Duration) -> Self {
-        CancelToken {
-            flag: AtomicBool::new(false),
-            timed_out: AtomicBool::new(false),
-            budget_secs: budget.as_secs(),
-        }
-    }
-
-    /// The stop flag to hand to
-    /// [`metanmp::Simulator::run_interruptible`].
-    pub fn flag(&self) -> &AtomicBool {
-        &self.flag
-    }
-
-    /// Whether the cancellation was a wall-clock budget expiry.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out.load(Ordering::SeqCst)
-    }
-
-    /// The cell's wall-clock budget in seconds.
-    pub fn budget_secs(&self) -> u64 {
-        self.budget_secs
-    }
-}
-
-thread_local! {
-    /// The cancel token of the cell currently running on this worker
-    /// thread, if it runs under a wall-clock budget.
-    static ACTIVE_CANCEL: RefCell<Option<Arc<CancelToken>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with `token` installed as the thread's active cancel
-/// token; experiments pick it up via [`current_cancel`].
-fn with_cancel<R>(token: &Arc<CancelToken>, f: impl FnOnce() -> R) -> R {
-    ACTIVE_CANCEL.with(|slot| *slot.borrow_mut() = Some(Arc::clone(token)));
-    let out = f();
-    ACTIVE_CANCEL.with(|slot| *slot.borrow_mut() = None);
-    out
-}
-
-/// The cancel token of the cell running on this thread, when the sweep
-/// configured `--cell-timeout`. Experiments pass `token.flag()` to
-/// their interruptible simulation instead of [`interrupt_flag`]; the
-/// watchdog forwards global interrupts into the token, so SIGINT still
-/// stops a budgeted cell mid-flight.
-pub fn current_cancel() -> Option<Arc<CancelToken>> {
-    ACTIVE_CANCEL.with(|slot| slot.borrow().clone())
-}
-
 /// Runs a sweep's cells, journaling completions and replaying them on
-/// resume. With no sweep options configured every cell just runs
-/// directly (no journal, no interrupt checks between cells).
+/// resume. With no sweep options configured every cell just runs (no
+/// journal, no interrupt checks between cells).
 #[derive(Debug)]
 pub struct SweepRunner {
     journal: Option<Journal>,
     cached: BTreeMap<String, CellRecord>,
     dir: Option<PathBuf>,
     fresh_cells: u64,
-    cell_timeout: Option<Duration>,
 }
 
 impl SweepRunner {
@@ -187,7 +118,6 @@ impl SweepRunner {
                 cached: BTreeMap::new(),
                 dir: None,
                 fresh_cells: 0,
-                cell_timeout: cx.cell_timeout,
             });
         };
         let path = sweep.dir.join(format!("{name}.manifest.jsonl"));
@@ -214,46 +144,7 @@ impl SweepRunner {
             cached: cells.into_iter().map(|c| (c.key.clone(), c)).collect(),
             dir: Some(sweep.dir.clone()),
             fresh_cells: 0,
-            cell_timeout: cx.cell_timeout,
         })
-    }
-
-    /// Runs (or replays) one cell.
-    ///
-    /// A journaled completion with a matching configuration hash is
-    /// deserialized from its stored result JSON; otherwise `run` is
-    /// invoked and its serialized result journaled. Before computing a
-    /// fresh cell, a pending interrupt aborts the sweep with
-    /// [`ExpError::Interrupted`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates `run` failures, journal failures, and interruption.
-    pub fn cell<T, F>(&mut self, key: &str, cell_hash: u64, run: F) -> Result<T, ExpError>
-    where
-        T: Serialize + Deserialize,
-        F: FnOnce() -> Result<T, ExpError>,
-    {
-        if let Some(rec) = self.cached.get(key) {
-            return replay(key, cell_hash, rec);
-        }
-        if self.journal.is_some() && interrupted() {
-            return Err(self.interrupted_error());
-        }
-        let value = run()?;
-        if let Some(journal) = &mut self.journal {
-            let json = serde_json::to_string(&value)
-                .ctx(&format!("sweep cell {key:?}: serializing result"))?;
-            journal
-                .append(&cell_record(key, cell_hash, json))
-                .ctx(&format!("sweep cell {key:?}: journaling completion"))?;
-            self.fresh_cells += 1;
-            let after = INTERRUPT_AFTER.load(Ordering::SeqCst);
-            if after != 0 && self.fresh_cells >= after {
-                request_interrupt();
-            }
-        }
-        Ok(value)
     }
 
     /// Runs (or replays) a whole batch of cells, fanning fresh cells
@@ -263,14 +154,18 @@ impl SweepRunner {
     /// worker count: workers only *compute*; journal appends, telemetry
     /// merges ([`obs::merge_sink`]), the fresh-cell interrupt threshold,
     /// and error selection all happen on this thread while folding the
-    /// contiguous completed prefix in canonical (spec) order — exactly
-    /// the order a sequential run produces. On any failure the error of
-    /// the lowest-index failing cell is returned.
+    /// contiguous completed prefix in canonical (spec) order. On any
+    /// failure the error of the lowest-index failing cell is returned.
+    /// A fresh cell that completes after the interrupt threshold
+    /// tripped is discarded, so a journal never holds more fresh cells
+    /// than the threshold at any worker count.
     ///
-    /// `jobs` is the raw `--jobs` value (`0` = auto). While the pool is
-    /// active the [`dramsim::parallel`] budget is pinned to 1 so
-    /// cell-level and channel-level parallelism do not oversubscribe
-    /// the host; it is restored to `jobs` afterwards.
+    /// `jobs` is the raw `--jobs` value (`0` = auto). While two or more
+    /// workers are active the [`dramsim::parallel`] budget is pinned to
+    /// 1 so cell-level and channel-level parallelism do not
+    /// oversubscribe the host; it is restored to `jobs` afterwards. A
+    /// single worker keeps the whole budget for channel-level
+    /// parallelism.
     ///
     /// # Errors
     ///
@@ -280,26 +175,18 @@ impl SweepRunner {
         T: Serialize + Deserialize + Send,
     {
         let workers = effective_jobs(jobs).min(specs.len().max(1));
-        // A wall-clock budget needs the supervised pool (its watchdog
-        // thread trips the per-cell cancel tokens), even single-worker.
-        if workers <= 1 && self.cell_timeout.is_none() {
-            let mut out = Vec::with_capacity(specs.len());
-            for spec in specs {
-                out.push(self.cell(&spec.key, spec.hash, || (spec.run)())?);
-            }
-            return Ok(out);
+        let pinned = workers > 1;
+        if pinned {
+            dramsim::parallel::set_threads(1);
         }
-        dramsim::parallel::set_threads(1);
-        let result = self.cells_parallel(workers, &specs);
-        dramsim::parallel::set_threads(jobs);
+        let result = self.run_pool(workers, &specs);
+        if pinned {
+            dramsim::parallel::set_threads(jobs);
+        }
         result
     }
 
-    fn cells_parallel<T>(
-        &mut self,
-        workers: usize,
-        specs: &[CellSpec<'_, T>],
-    ) -> Result<Vec<T>, ExpError>
+    fn run_pool<T>(&mut self, workers: usize, specs: &[CellSpec<'_, T>]) -> Result<Vec<T>, ExpError>
     where
         T: Serialize + Deserialize + Send,
     {
@@ -322,7 +209,6 @@ impl SweepRunner {
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<(usize, Msg<T>)>();
-        let timeout = self.cell_timeout;
         let SweepRunner {
             journal,
             cached,
@@ -333,16 +219,10 @@ impl SweepRunner {
         let cached = &*cached;
         let dir = &*dir;
 
-        // One slot per worker: the cancel token and start time of the
-        // cell it is computing, watched by the timeout thread.
-        type ActiveCell = Option<(Arc<CancelToken>, Instant)>;
-        let active: Mutex<Vec<ActiveCell>> = Mutex::new((0..workers).map(|_| None).collect());
-        let pool_done = AtomicBool::new(false);
-
         std::thread::scope(|scope| {
-            for worker_idx in 0..workers {
+            for _ in 0..workers {
                 let tx = tx.clone();
-                let (next, stop, active) = (&next, &stop, &active);
+                let (next, stop) = (&next, &stop);
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     if i >= n {
@@ -354,28 +234,7 @@ impl SweepRunner {
                     } else if stop.load(Ordering::SeqCst) || (journaling && interrupted()) {
                         Msg::Skipped
                     } else {
-                        let run = || {
-                            let Some(budget) = timeout else {
-                                return (spec.run)();
-                            };
-                            let token = Arc::new(CancelToken::new(budget));
-                            active.lock().expect("active-cell lock poisoned")[worker_idx] =
-                                Some((Arc::clone(&token), Instant::now()));
-                            let res = with_cancel(&token, || (spec.run)());
-                            active.lock().expect("active-cell lock poisoned")[worker_idx] = None;
-                            match res {
-                                // The simulation stopped on the token:
-                                // name the cell in the structured error.
-                                Err(ExpError::Interrupted { .. }) if token.timed_out() => {
-                                    Err(ExpError::CellTimeout {
-                                        key: spec.key.clone(),
-                                        secs: token.budget_secs(),
-                                    })
-                                }
-                                other => other,
-                            }
-                        };
-                        let (res, sink) = obs::scoped_sink(run);
+                        let (res, sink) = obs::scoped_sink(|| (spec.run)());
                         match res {
                             Ok(value) => match serde_json::to_string(&value) {
                                 Ok(json) => Msg::Fresh(value, json, sink),
@@ -397,30 +256,6 @@ impl SweepRunner {
             }
             drop(tx);
 
-            // Watchdog: trips a cell's cancel token when its wall-clock
-            // budget expires, and forwards process-global interrupts so
-            // SIGINT still stops a budgeted cell mid-flight.
-            if let Some(budget) = timeout {
-                let (active, pool_done) = (&active, &pool_done);
-                scope.spawn(move || {
-                    while !pool_done.load(Ordering::SeqCst) {
-                        {
-                            let slots = active.lock().expect("active-cell lock poisoned");
-                            for slot in slots.iter().flatten() {
-                                let (token, started) = slot;
-                                if interrupted() {
-                                    token.flag.store(true, Ordering::SeqCst);
-                                } else if started.elapsed() >= budget {
-                                    token.timed_out.store(true, Ordering::SeqCst);
-                                    token.flag.store(true, Ordering::SeqCst);
-                                }
-                            }
-                        }
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                });
-            }
-
             // Fold the contiguous completed prefix in canonical order.
             // Out-of-order completions park in `pending` until their
             // turn; the first failure (in canonical order, not arrival
@@ -429,10 +264,6 @@ impl SweepRunner {
             let mut out: Vec<T> = Vec::with_capacity(n);
             let mut failure: Option<ExpError> = None;
             let mut next_fold = 0usize;
-            let interrupted_err = || match dir {
-                Some(d) => ExpError::Interrupted { dir: d.clone() },
-                None => ExpError::Failed("interrupted (no --sweep-dir, nothing persisted)".into()),
-            };
             for (i, msg) in rx {
                 pending.insert(i, msg);
                 while failure.is_none() {
@@ -443,34 +274,13 @@ impl SweepRunner {
                     next_fold += 1;
                     match msg {
                         Msg::Replayed(Ok(value)) => out.push(value),
-                        // A timed-out cell is journaled as a failed
-                        // attempt — the record survives for post-mortem
-                        // and the cell re-runs on resume — before the
-                        // structured error fails the sweep.
-                        Msg::Failed(e @ ExpError::CellTimeout { .. }) => {
-                            if let (Some(j), ExpError::CellTimeout { key, .. }) =
-                                (&mut *journal, &e)
-                            {
-                                let fail = FailRecord {
-                                    key: key.clone(),
-                                    attempt: 0,
-                                    error: e.to_string(),
-                                };
-                                if let Err(je) = j.append_failed(&fail) {
-                                    eprintln!(
-                                        "sweep cell {key:?}: journaling timeout failure: {je}"
-                                    );
-                                }
-                            }
-                            failure = Some(e);
-                        }
                         Msg::Replayed(Err(e)) | Msg::Failed(e) => failure = Some(e),
-                        Msg::Skipped => failure = Some(interrupted_err()),
+                        Msg::Skipped => failure = Some(interrupted_error(dir.as_deref())),
                         // A fresh result folding after the interrupt
-                        // threshold tripped is discarded, exactly as a
-                        // sequential run refuses to start it.
+                        // threshold tripped is discarded: the sweep
+                        // stops where the threshold put it.
                         Msg::Fresh(..) if journaling && interrupted() => {
-                            failure = Some(interrupted_err());
+                            failure = Some(interrupted_error(dir.as_deref()));
                         }
                         Msg::Fresh(value, json, sink) => {
                             obs::merge_sink(sink);
@@ -499,22 +309,24 @@ impl SweepRunner {
                     }
                 }
             }
-            pool_done.store(true, Ordering::SeqCst);
             match failure {
                 Some(e) => Err(e),
                 None => Ok(out),
             }
         })
     }
+}
 
-    /// The error a pending interrupt turns into.
-    pub fn interrupted_error(&self) -> ExpError {
-        match &self.dir {
-            Some(dir) => ExpError::Interrupted { dir: dir.clone() },
-            // Interrupted without journaling: nothing was persisted, so
-            // this is a plain failure rather than a resumable stop.
-            None => ExpError::Failed("interrupted (no --sweep-dir, nothing persisted)".into()),
-        }
+/// The error a pending interrupt turns into for a sweep journaling
+/// under `dir`.
+fn interrupted_error(dir: Option<&Path>) -> ExpError {
+    match dir {
+        Some(dir) => ExpError::Interrupted {
+            dir: dir.to_path_buf(),
+        },
+        // Interrupted without journaling: nothing was persisted, so
+        // this is a plain failure rather than a resumable stop.
+        None => ExpError::Failed("interrupted (no --sweep-dir, nothing persisted)".into()),
     }
 }
 
@@ -547,101 +359,4 @@ fn replay<T: Deserialize>(key: &str, cell_hash: u64, rec: &CellRecord) -> Result
     }
     serde_json::from_str(&rec.result_json)
         .ctx(&format!("sweep cell {key:?}: replaying journaled result"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::common::SweepOptions;
-    use checkpoint::manifest::JournalRecord;
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "metanmp-sweep-{name}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
-    }
-
-    /// `--cell-timeout`: a cell past its wall-clock budget is cancelled
-    /// cooperatively, journaled as a failed attempt (so post-mortems see
-    /// it and resume retries it), and fails the sweep with the
-    /// structured [`ExpError::CellTimeout`].
-    #[test]
-    fn timed_out_cell_is_journaled_as_failed_attempt() {
-        let dir = scratch("cell-timeout");
-        let cx = Ctx {
-            seed: 9,
-            sweep: Some(SweepOptions {
-                dir: dir.clone(),
-                resume: false,
-                interval: 64,
-            }),
-            jobs: 1,
-            cell_timeout: Some(Duration::from_millis(60)),
-        };
-        let mut runner = SweepRunner::open(&cx, "toy", 0xAB5E).expect("open journal");
-        let specs: Vec<CellSpec<'_, u64>> = vec![
-            CellSpec {
-                key: "fast".into(),
-                hash: 1,
-                run: Box::new(|| Ok(7)),
-            },
-            CellSpec {
-                key: "slow".into(),
-                hash: 2,
-                run: Box::new(|| {
-                    // A budgeted cell picks up its cancel token exactly
-                    // like the real experiments do and stops when the
-                    // watchdog trips it.
-                    let token = current_cancel().expect("budgeted cell has a cancel token");
-                    while !token.flag().load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(ExpError::Interrupted { dir: ".".into() })
-                }),
-            },
-        ];
-        let err = runner.cells(1, specs).expect_err("slow cell must time out");
-        match &err {
-            ExpError::CellTimeout { key, .. } => assert_eq!(key, "slow"),
-            other => panic!("expected CellTimeout, got: {other}"),
-        }
-        drop(runner);
-
-        let header = JournalHeader {
-            version: FORMAT_VERSION,
-            config_hash: 0xAB5E,
-            seed: 9,
-        };
-        let path = dir.join("toy.manifest.jsonl");
-        let (_, records) =
-            Journal::open_resume_records(&path, &header).expect("reopen journal with records");
-        let fails: Vec<_> = records
-            .iter()
-            .filter_map(|r| match r {
-                JournalRecord::Failed(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(fails.len(), 1, "exactly one failed attempt journaled");
-        assert_eq!(fails[0].key, "slow");
-        assert!(
-            fails[0].error.contains("wall-clock budget"),
-            "failure reason names the budget: {}",
-            fails[0].error
-        );
-        let done: Vec<_> = records
-            .iter()
-            .filter_map(|r| match r {
-                JournalRecord::Cell(c) => Some(c.key.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(done, ["fast"], "the fast cell's completion survives");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

@@ -51,7 +51,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use sweepd::wire;
+use sweepd::manifest::SUPPORTED_EXPERIMENTS;
+use sweepd::wire::{self, GridCell, GridDoc};
 
 use crate::common::{Ctx, ExpError, ExpResult, ResultExt, SweepOptions};
 use crate::{faults, sweep};
@@ -105,33 +106,12 @@ struct InterruptedEv {
     key: String,
 }
 
-/// Grid line printed by `--grid <exp>`.
-#[derive(Serialize, Deserialize, Debug)]
-pub struct GridCell {
-    /// Journal key of the cell.
-    pub key: String,
-    /// The cell's own configuration hash.
-    pub hash: u64,
-}
-
-/// Everything the coordinator needs to open a journal and shard cells.
-#[derive(Serialize, Deserialize, Debug)]
-pub struct GridDoc {
-    /// Experiment name the grid belongs to.
-    pub experiment: String,
-    /// Sweep-level config hash for the journal header.
-    pub sweep_hash: u64,
-    /// Seed the grid was computed under.
-    pub seed: u64,
-    /// Cells in canonical order.
-    pub cells: Vec<GridCell>,
-}
-
-/// The experiments that expose a distributed cell API, by name.
+/// The grid of an experiment with a distributed cell API.
 ///
-/// Each entry maps to the experiment's `worker_grid` /
-/// `worker_run_cell` pair; extending a new sweep to `sweepd` means
-/// adding it here and in the matching list in `sweepd::manifest`.
+/// Each name in [`SUPPORTED_EXPERIMENTS`] maps to the experiment's
+/// `worker_grid` / `worker_run_cell` pair here and in [`run_cell`];
+/// extending a new sweep to `sweepd` means adding it to that list and
+/// to both matches.
 fn grid_of(cx: &Ctx, exp: &str) -> Result<GridDoc, ExpError> {
     match exp {
         "faults" => Ok(GridDoc {
@@ -165,12 +145,6 @@ pub fn print_grid(cx: &Ctx, exp: &str) -> ExpResult {
     println!("{line}");
     Ok(())
 }
-
-/// The experiments this worker offers over the cell protocol.
-/// The registration fingerprint is computed over this list; a
-/// coordinator whose `sweepd::manifest::SUPPORTED_EXPERIMENTS` differs
-/// rejects the hello instead of leasing cells the worker cannot run.
-const CELL_EXPERIMENTS: &[&str] = &["faults"];
 
 /// Dial attempts a redial loop tolerates back-to-back before giving up
 /// (each one waits out a jittered exponential backoff first).
@@ -274,7 +248,9 @@ fn dial(
 /// (version or fingerprint mismatch, draining) or the redial budget is
 /// exhausted.
 pub fn run_remote_worker(cx: &Ctx, addr: &str, heartbeat_ms: u64) -> Result<u8, ExpError> {
-    let fingerprint = wire::fingerprint(CELL_EXPERIMENTS);
+    // A coordinator built with a different experiment list rejects the
+    // hello instead of leasing cells this worker cannot run.
+    let fingerprint = wire::fingerprint(SUPPORTED_EXPERIMENTS);
     let name = format!("w-tcp-{}", std::process::id());
     let mut backoff =
         faultsim::Backoff::with_jitter(100, 5000, 250, cx.seed ^ u64::from(std::process::id()));
@@ -510,7 +486,6 @@ fn handle_command(
                             interval,
                         }),
                         jobs: cx.jobs,
-                        cell_timeout: cx.cell_timeout,
                     },
                     dir.to_string(),
                     seed,

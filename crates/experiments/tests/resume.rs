@@ -4,9 +4,10 @@
 //! `METANMP_INTERRUPT_AFTER_CELLS` hook — the cooperative path a real
 //! SIGINT takes, minus the signal delivery), resumed twice, and the
 //! final `results/faults.json` must be byte-identical to an
-//! uninterrupted run. A second test corrupts the journal and the
-//! in-flight checkpoint and requires structured refusals, not replays
-//! of bad data.
+//! uninterrupted run, both at the default `--jobs` and with the
+//! one-worker pool of `--jobs 1`. A second test corrupts the journal
+//! and the in-flight checkpoint and requires structured refusals, not
+//! replays of bad data.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -42,24 +43,37 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// Completed-cell records in a sweep journal (the header and any
+/// tagged lease/failure records do not count).
+fn journaled_cells(manifest: &Path) -> usize {
+    fs::read_to_string(manifest)
+        .expect("read journal")
+        .lines()
+        .filter(|l| l.contains("\"result_digest\""))
+        .count()
+}
+
 #[test]
 fn interrupted_sweep_resumes_byte_identical() {
-    let dir = scratch("identical");
+    // Default `--jobs` (one worker per core), then a one-worker pool.
+    interrupt_resume_and_compare("identical-auto", &[]);
+    interrupt_resume_and_compare("identical-jobs1", &["--jobs", "1"]);
+}
+
+fn interrupt_resume_and_compare(name: &str, jobs: &[&str]) {
+    let dir = scratch(name);
     let reference = dir.join("reference");
     let sweeping = dir.join("sweeping");
     fs::create_dir_all(&reference).unwrap();
     fs::create_dir_all(&sweeping).unwrap();
 
-    let out = run_faults(&reference, &[], None);
+    let out = run_faults(&reference, jobs, None);
     assert!(out.status.success(), "reference run: {}", stderr_of(&out));
     let expected = fs::read(reference.join("results/faults.json")).expect("reference artifact");
 
     // Round 1: fresh sweep, interrupted after 2 cells.
-    let out = run_faults(
-        &sweeping,
-        &["--sweep-dir", "sweep", "--ckpt-interval", "64"],
-        Some(2),
-    );
+    let round1 = [jobs, &["--sweep-dir", "sweep", "--ckpt-interval", "64"]].concat();
+    let out = run_faults(&sweeping, &round1, Some(2));
     assert_eq!(
         out.status.code(),
         Some(EXIT_RESUMABLE),
@@ -68,13 +82,17 @@ fn interrupted_sweep_resumes_byte_identical() {
     );
     let manifest = sweeping.join("sweep/faults.manifest.jsonl");
     assert!(manifest.is_file(), "interrupt leaves the journal behind");
+    // Cells finishing after the threshold tripped are discarded, so
+    // the journal holds exactly the threshold at any worker count.
+    assert_eq!(journaled_cells(&manifest), 2, "round 1 journals 2 cells");
     assert!(
         stderr_of(&out).contains("--resume"),
         "interrupt message tells the user how to resume"
     );
 
     // Round 2: resume, interrupted again after 2 more cells.
-    let out = run_faults(&sweeping, &["--resume", "sweep"], Some(2));
+    let resume = [jobs, &["--resume", "sweep"]].concat();
+    let out = run_faults(&sweeping, &resume, Some(2));
     assert_eq!(
         out.status.code(),
         Some(EXIT_RESUMABLE),
@@ -88,7 +106,7 @@ fn interrupted_sweep_resumes_byte_identical() {
     );
 
     // Final: resume to completion.
-    let out = run_faults(&sweeping, &["--resume", "sweep"], None);
+    let out = run_faults(&sweeping, &resume, None);
     assert!(out.status.success(), "final resume: {}", stderr_of(&out));
     let resumed = fs::read(sweeping.join("results/faults.json")).expect("resumed artifact");
     assert_eq!(

@@ -437,7 +437,7 @@ impl FaultStats {
     /// `faults.*`. Call once per run with the run's totals (the
     /// registry accumulates across calls).
     pub fn publish(&self) {
-        if !obs::is_enabled() || self.is_empty() {
+        if self.is_empty() {
             return;
         }
         obs::counter_add("faults.injected_bit_flips", self.injected_bit_flips);

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::GraphError;
 use crate::graph::HeteroGraph;
 use crate::metapath::Metapath;
-use crate::types::{Vertex, VertexId};
+use crate::types::{Vertex, VertexId, VertexTypeId};
 
 /// All instances of one metapath, stored as a flat row-major matrix of
 /// local vertex ids with stride `metapath.vertex_count()`.
@@ -173,14 +173,38 @@ pub fn count_instances_per_start(
     graph: &HeteroGraph,
     metapath: &Metapath,
 ) -> Result<Vec<u128>, GraphError> {
-    let types = metapath.vertex_types();
-    let last = types.len() - 1;
-    let mut suffix: Vec<u128> = vec![1; graph.vertex_count(types[last])? as usize];
-    for depth in (0..last).rev() {
-        let ty = types[depth];
-        let next_ty = types[depth + 1];
+    suffix_walk_counts(graph, metapath.vertex_types(), 0)
+}
+
+/// Backward walk-count DP over a vertex-type sequence, for every vertex
+/// of type `types[0]`:
+///
+/// ```text
+/// g_last(v) = 1,    g_i(v) = base + Σ_{n ∈ N(v, types[i+1])} g_{i+1}(n)
+/// ```
+///
+/// With `base = 0` this counts the full walks `v … v_last` (metapath
+/// instances, see [`count_instances_per_start`]); with `base = 1` it
+/// counts the nodes of the prefix tree rooted at `v`, root included.
+/// Pass a suffix of a metapath's types to start the DP at a later hop.
+/// An empty `types` yields an empty vector.
+///
+/// # Errors
+///
+/// Propagates [`GraphError`] from neighbor queries.
+pub fn suffix_walk_counts(
+    graph: &HeteroGraph,
+    types: &[VertexTypeId],
+    base: u128,
+) -> Result<Vec<u128>, GraphError> {
+    let Some(&last) = types.last() else {
+        return Ok(Vec::new());
+    };
+    let mut suffix: Vec<u128> = vec![1; graph.vertex_count(last)? as usize];
+    for pair in types.windows(2).rev() {
+        let (ty, next_ty) = (pair[0], pair[1]);
         let count = graph.vertex_count(ty)? as usize;
-        let mut cur = vec![0u128; count];
+        let mut cur = vec![base; count];
         for (i, slot) in cur.iter_mut().enumerate() {
             let v = Vertex::new(ty, VertexId::new(i as u32));
             for &n in graph.typed_neighbors(v, next_ty)? {

@@ -624,12 +624,10 @@ mod tests {
         assert!(outcome.nmp.faults.injected_bit_flips > 0);
         assert!(outcome.nmp.faults.mem_errors > 0);
         // And the faults.* telemetry counters are populated (global
-        // sink, so >= not ==; skipped when telemetry is compiled out).
-        if obs::is_enabled() {
-            let snap = obs::snapshot();
-            assert!(snap.counter("faults.degraded_runs").unwrap_or(0) >= 1);
-            assert!(snap.counter("faults.injected_bit_flips").unwrap_or(0) >= 1);
-        }
+        // sink, so >= not ==).
+        let snap = obs::snapshot();
+        assert!(snap.counter("faults.degraded_runs").unwrap_or(0) >= 1);
+        assert!(snap.counter("faults.injected_bit_flips").unwrap_or(0) >= 1);
     }
 
     /// Fault-injected ECC retries re-issue DRAM bursts for requests

@@ -12,8 +12,8 @@
 //! estimator at scale.
 
 use dramsim::{MemorySystem, Request};
-use hetgraph::instances::count_instances_per_start;
-use hetgraph::{HeteroGraph, Metapath, Vertex, VertexId};
+use hetgraph::instances::{count_instances_per_start, suffix_walk_counts};
+use hetgraph::{HeteroGraph, Metapath};
 use hgnn::ModelKind;
 
 use crate::comm::CommPolicy;
@@ -74,28 +74,6 @@ pub fn calibrate_rank_local(config: &NmpConfig) -> RankCalibration {
     }
 }
 
-/// Prefix-tree node count per start vertex, *including* the root:
-/// `g_i(v) = 1 + Σ g_{i+1}(n)` backward over the metapath.
-fn prefix_nodes_per_start(graph: &HeteroGraph, metapath: &Metapath) -> Result<Vec<u128>, NmpError> {
-    let types = metapath.vertex_types();
-    let last = types.len() - 1;
-    let mut g: Vec<u128> = vec![1; graph.vertex_count(types[last])? as usize];
-    for depth in (0..last).rev() {
-        let ty = types[depth];
-        let next_ty = types[depth + 1];
-        let count = graph.vertex_count(ty)? as usize;
-        let mut cur = vec![1u128; count];
-        for (i, slot) in cur.iter_mut().enumerate() {
-            let v = Vertex::new(ty, VertexId::new(i as u32));
-            for &n in graph.typed_neighbors(v, next_ty)? {
-                *slot += g[n as usize];
-            }
-        }
-        g = cur;
-    }
-    Ok(g)
-}
-
 /// Estimates a full MetaNMP inference without executing it.
 ///
 /// # Errors
@@ -148,7 +126,8 @@ pub fn estimate(
         let hops = mp.length() as u128;
         let t0 = mp.start_type();
         let per_start_instances = count_instances_per_start(graph, mp)?;
-        let per_start_nodes = prefix_nodes_per_start(graph, mp)?;
+        // Prefix-tree nodes per start vertex, root included.
+        let per_start_nodes = suffix_walk_counts(graph, mp.vertex_types(), 1)?;
 
         for (i, (&insts, &nodes_incl_root)) in
             per_start_instances.iter().zip(&per_start_nodes).enumerate()
@@ -319,7 +298,7 @@ mod tests {
     fn per_start_nodes_sum_matches_closed_form() {
         let ds = generate(DatasetId::Imdb, GeneratorConfig::at_scale(0.05));
         for mp in &ds.metapaths {
-            let per_start = prefix_nodes_per_start(&ds.graph, mp).unwrap();
+            let per_start = suffix_walk_counts(&ds.graph, mp.vertex_types(), 1).unwrap();
             let total: u128 = per_start.iter().map(|&n| n - 1).sum();
             assert_eq!(total, count_prefix_nodes(&ds.graph, mp).unwrap());
         }

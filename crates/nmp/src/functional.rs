@@ -1117,43 +1117,41 @@ impl ResumableRun {
             .max(host_nmp);
         let seconds = cycles as f64 * cfg.dram.cycle_seconds();
 
-        if obs::is_enabled() {
-            // Per-unit load histograms and utilization against the
-            // pipelined critical path (cycles = max over resources).
-            let mut gen_hist = obs::Histogram::new();
-            for &g in &gen {
-                gen_hist.record(g);
-            }
-            obs::hist_merge("nmp.carpu.gen_cycles_per_dimm", &gen_hist);
-            let mut compute_hist = obs::Histogram::new();
-            for &c in &compute {
-                compute_hist.record(c);
-            }
-            obs::hist_merge("nmp.rank_au.compute_cycles_per_rank", &compute_hist);
-            if cycles > 0 {
-                let gen_total: u64 = gen.iter().sum();
-                let compute_total: u64 = compute.iter().sum();
-                obs::gauge_set(
-                    "nmp.carpu.utilization",
-                    gen_total as f64 / (cycles * dimms as u64) as f64,
-                );
-                obs::gauge_set(
-                    "nmp.rank_au.utilization",
-                    compute_total as f64 / (cycles * ranks as u64) as f64,
-                );
-            }
-            obs::counter_add(
-                "nmp.instances",
-                counts.instances.min(u64::MAX as u128) as u64,
-            );
-            obs::counter_add(
-                "nmp.aggregations",
-                counts.aggregations.min(u64::MAX as u128) as u64,
-            );
-            obs::counter_add("nmp.copies", counts.copies.min(u64::MAX as u128) as u64);
-            obs::counter_add("nmp.broadcast_transfers", counts.broadcast_transfers);
-            obs::counter_add("nmp.cycles", cycles);
+        // Per-unit load histograms and utilization against the
+        // pipelined critical path (cycles = max over resources).
+        let mut gen_hist = obs::Histogram::new();
+        for &g in &gen {
+            gen_hist.record(g);
         }
+        obs::hist_merge("nmp.carpu.gen_cycles_per_dimm", &gen_hist);
+        let mut compute_hist = obs::Histogram::new();
+        for &c in &compute {
+            compute_hist.record(c);
+        }
+        obs::hist_merge("nmp.rank_au.compute_cycles_per_rank", &compute_hist);
+        if cycles > 0 {
+            let gen_total: u64 = gen.iter().sum();
+            let compute_total: u64 = compute.iter().sum();
+            obs::gauge_set(
+                "nmp.carpu.utilization",
+                gen_total as f64 / (cycles * dimms as u64) as f64,
+            );
+            obs::gauge_set(
+                "nmp.rank_au.utilization",
+                compute_total as f64 / (cycles * ranks as u64) as f64,
+            );
+        }
+        obs::counter_add(
+            "nmp.instances",
+            counts.instances.min(u64::MAX as u128) as u64,
+        );
+        obs::counter_add(
+            "nmp.aggregations",
+            counts.aggregations.min(u64::MAX as u128) as u64,
+        );
+        obs::counter_add("nmp.copies", counts.copies.min(u64::MAX as u128) as u64);
+        obs::counter_add("nmp.broadcast_transfers", counts.broadcast_transfers);
+        obs::counter_add("nmp.cycles", cycles);
 
         // ---- Energy composition. ----
         let e = cfg.dram.energy;

@@ -42,8 +42,8 @@
 //!    resizes over simulated time, replaying byte-identically.
 //!
 //! The run produces a [`ServeReport`]: p50/p99/p999 latency (via
-//! [`obs::LatencyHistogram`], which stays real when telemetry is
-//! compiled out), per-class QoS attainment, cache hit rates, per-DIMM
+//! [`obs::Histogram`], the same log₂ histogram the telemetry snapshot
+//! uses), per-class QoS attainment, cache hit rates, per-DIMM
 //! utilization, batch statistics, and admission / breaker / chaos
 //! outcomes — everything in the simulated clock domain, so two runs
 //! of one seed are byte-identical.

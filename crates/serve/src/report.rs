@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::batch::BatchPolicy;
 use crate::cache::CacheStats;
 
-/// Latency summary extracted from an [`obs::LatencyHistogram`].
+/// Latency summary extracted from an [`obs::Histogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Samples recorded.
@@ -32,7 +32,7 @@ pub struct LatencyStats {
 
 impl LatencyStats {
     /// Extracts the summary from a histogram.
-    pub fn from_histogram(h: &obs::LatencyHistogram) -> LatencyStats {
+    pub fn from_histogram(h: &obs::Histogram) -> LatencyStats {
         LatencyStats {
             count: h.count(),
             mean_ticks: h.mean(),

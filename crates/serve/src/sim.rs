@@ -218,14 +218,14 @@ pub fn simulate(config: &ServeConfig, workload: &ServeWorkload) -> Result<ServeR
     let mut class_shed = vec![0u64; config.classes.len()];
     let mut class_brownout = vec![0u64; config.classes.len()];
     let mut brownouts = 0u64;
-    let mut brownout_hist = obs::LatencyHistogram::new();
+    let mut brownout_hist = obs::Histogram::new();
 
-    let mut overall = obs::LatencyHistogram::new();
-    let mut queue_delay = obs::LatencyHistogram::new();
-    let mut per_class: Vec<obs::LatencyHistogram> = config
+    let mut overall = obs::Histogram::new();
+    let mut queue_delay = obs::Histogram::new();
+    let mut per_class: Vec<obs::Histogram> = config
         .classes
         .iter()
-        .map(|_| obs::LatencyHistogram::new())
+        .map(|_| obs::Histogram::new())
         .collect();
     let mut class_queries = vec![0u64; config.classes.len()];
     let mut batch_report = BatchReport {
@@ -552,9 +552,9 @@ pub fn simulate(config: &ServeConfig, workload: &ServeWorkload) -> Result<ServeR
 
 /// Publishes `serve.admission.*` / `serve.breaker.*` counters and the
 /// breaker-state simulated-time track to the telemetry registry (a
-/// no-op when telemetry is compiled out or admission is disabled).
+/// no-op when admission is disabled).
 fn publish_telemetry(adm: &AdmissionReport, brk: &BreakerReport, breakers: Option<&Breakers>) {
-    if !obs::is_enabled() || !adm.enabled {
+    if !adm.enabled {
         return;
     }
     obs::counter_add("serve.admission.accepted", adm.accepted);

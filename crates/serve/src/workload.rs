@@ -8,6 +8,7 @@
 //! tractable while anchoring every tick to the hardware model.
 
 use hetgraph::datasets::{generate, Dataset, DatasetId, GeneratorConfig};
+use hetgraph::instances::suffix_walk_counts;
 use hetgraph::{Vertex, VertexId};
 use hgnn::ModelKind;
 use nmp::NmpConfig;
@@ -278,24 +279,9 @@ fn build_paths(ds: &Dataset) -> Result<(Vec<PathModel>, u32), ServeError> {
         if types[0] != query_ty || types.len() < 2 {
             continue;
         }
-        // Backward DP down to depth 1: suffix1[n] = instances of the
-        // metapath suffix `types[1..]` dispersing from neighbor n.
-        let last = types.len() - 1;
-        let mut suffix: Vec<u128> = vec![1; ds.graph.vertex_count(types[last])? as usize];
-        for depth in (1..last).rev() {
-            let ty = types[depth];
-            let next_ty = types[depth + 1];
-            let count = ds.graph.vertex_count(ty)? as usize;
-            let mut cur = vec![0u128; count];
-            for (i, slot) in cur.iter_mut().enumerate() {
-                let v = Vertex::new(ty, VertexId::new(i as u32));
-                for &n in ds.graph.typed_neighbors(v, next_ty)? {
-                    *slot += suffix[n as usize];
-                }
-            }
-            suffix = cur;
-        }
-        let suffix1: Vec<u64> = suffix
+        // suffix1[n] = instances of the metapath suffix `types[1..]`
+        // dispersing from neighbor n.
+        let suffix1: Vec<u64> = suffix_walk_counts(&ds.graph, &types[1..], 0)?
             .into_iter()
             .map(|c| u64::try_from(c).unwrap_or(u64::MAX))
             .collect();

@@ -150,21 +150,6 @@ impl DaemonConfig {
     }
 }
 
-/// Image of the `--grid` one-shot output.
-#[derive(Serialize, Deserialize, Debug)]
-struct GridDoc {
-    experiment: String,
-    sweep_hash: u64,
-    seed: u64,
-    cells: Vec<GridCell>,
-}
-
-#[derive(Serialize, Deserialize, Debug)]
-struct GridCell {
-    key: String,
-    hash: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CellStatus {
     Pending,
@@ -623,7 +608,7 @@ impl Daemon {
 
     /// Enumerates the sweep grid by running the worker command's
     /// `--grid` one-shot mode.
-    fn fetch_grid(&self, manifest: &SweepManifest) -> Result<GridDoc, String> {
+    fn fetch_grid(&self, manifest: &SweepManifest) -> Result<wire::GridDoc, String> {
         let cmd = &self.cfg.worker_cmd;
         let output = Command::new(&cmd[0])
             .args(&cmd[1..])
@@ -647,7 +632,7 @@ impl Daemon {
             .rev()
             .find(|l| !l.trim().is_empty())
             .ok_or_else(|| "grid command produced no output".to_string())?;
-        let doc: GridDoc =
+        let doc: wire::GridDoc =
             serde_json::from_str(line).map_err(|e| format!("parsing grid output: {e}"))?;
         if doc.experiment != manifest.experiment || doc.seed != manifest.seed {
             return Err(format!(

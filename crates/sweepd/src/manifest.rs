@@ -22,8 +22,9 @@
 
 use serde::value::Value;
 
-/// Experiments the worker fleet knows how to shard. Mirrors the
-/// dispatch table in the experiments binary's worker mode.
+/// Experiments the worker fleet knows how to shard. The experiments
+/// binary's worker mode dispatches on this same list and registers
+/// with its [`crate::wire::fingerprint`].
 pub const SUPPORTED_EXPERIMENTS: &[&str] = &["faults"];
 
 /// A validated sweep request.

@@ -33,6 +33,7 @@
 //! and the CHS1 scenario parser are fuzzed.
 
 use serde::value::Value;
+use serde::{Deserialize, Serialize};
 
 /// Handshake protocol version. Bump on any incompatible frame change.
 pub const PROTO_VERSION: u32 = 1;
@@ -339,10 +340,11 @@ pub fn render_reject(reason: &str) -> String {
     format!("{{\"reject\":{{\"reason\":{}}}}}\n", json_str(reason))
 }
 
-/// Configuration fingerprint both sides compute independently: FNV-1a
-/// over the protocol version and the experiment dispatch table. A worker
-/// whose fingerprint differs was built against an incompatible cell API
-/// and is rejected at registration instead of producing wrong cells.
+/// Configuration fingerprint each side computes over the
+/// [`crate::manifest::SUPPORTED_EXPERIMENTS`] it was built with: FNV-1a
+/// over the protocol version and that experiment list. A worker whose
+/// fingerprint differs was built against an incompatible cell API and
+/// is rejected at registration instead of producing wrong cells.
 pub fn fingerprint(experiments: &[&str]) -> u64 {
     let mut bytes = PROTO_VERSION.to_le_bytes().to_vec();
     for name in experiments {
@@ -350,6 +352,29 @@ pub fn fingerprint(experiments: &[&str]) -> u64 {
         bytes.push(0xff);
     }
     checkpoint::fnv1a64(&bytes)
+}
+
+/// One cell of a [`GridDoc`].
+#[derive(Serialize, Deserialize, Debug)]
+pub struct GridCell {
+    /// Journal key of the cell.
+    pub key: String,
+    /// The cell's own configuration hash.
+    pub hash: u64,
+}
+
+/// The one JSON line a worker binary prints in `--grid <exp>` mode:
+/// everything the coordinator needs to open a journal and shard cells.
+#[derive(Serialize, Deserialize, Debug)]
+pub struct GridDoc {
+    /// Experiment name the grid belongs to.
+    pub experiment: String,
+    /// Sweep-level config hash for the journal header.
+    pub sweep_hash: u64,
+    /// Seed the grid was computed under.
+    pub seed: u64,
+    /// Cells in canonical order.
+    pub cells: Vec<GridCell>,
 }
 
 fn json_str(s: &str) -> String {

@@ -1,7 +1,7 @@
 //! JSON renderers for snapshots and Chrome trace files.
 //!
-//! Hand-rolled writers keep the telemetry crate dependency-free; both
-//! outputs are plain JSON that `serde_json` (and Perfetto / Chrome's
+//! Hand-rolled writers fix the byte layout of both outputs; they are
+//! plain JSON that `serde_json` (and Perfetto / Chrome's
 //! `about:tracing`) parse back losslessly.
 
 use std::fmt::Write as _;

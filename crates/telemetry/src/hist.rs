@@ -1,12 +1,12 @@
-//! Log₂-bucketed histograms with percentile estimation.
+//! Log₂-bucketed histograms with quantile estimation.
 //!
 //! Bucket `0` holds the value `0`; bucket `b ≥ 1` holds the range
 //! `[2^(b-1), 2^b - 1]`. 65 buckets cover the full `u64` domain, so
 //! recording is a `leading_zeros` plus one array increment — cheap
 //! enough for per-burst instrumentation in the DRAM scheduler's hot
-//! loop. Percentiles report the *upper bound* of the bucket containing
-//! the requested rank (a conservative estimate with ≤ 2× relative
-//! error, the standard trade-off for log-bucketed summaries).
+//! loop. Quantiles report the *upper bound* of the bucket containing
+//! the requested rank (a conservative estimate with < 2× relative
+//! error; see [`crate::quantile`] for the bound).
 
 pub(crate) use crate::quantile::BUCKETS;
 use crate::quantile::{bucket_index, quantile_from_counts};
@@ -131,40 +131,34 @@ impl Histogram {
         }
     }
 
-    /// Upper bound of the bucket containing the `p`-th percentile
-    /// sample, `p` in `[0, 100]`. Returns `0` when empty.
+    /// Upper bound of the bucket containing the sample at rank
+    /// fraction `q ∈ [0, 1]`. Returns `0` when empty.
     ///
-    /// The rank is `ceil(p/100 × count)` clamped to `[1, count]`, so
-    /// `percentile(0)` is the minimum's bucket and `percentile(100)`
-    /// the maximum's.
-    pub fn percentile(&self, p: f64) -> u64 {
-        quantile_from_counts(
-            &self.counts,
-            self.count,
-            if self.count == 0 { 0 } else { self.min },
-            self.max,
-            p / 100.0,
-        )
+    /// The rank is `ceil(q × count)` clamped to `[1, count]`, so
+    /// `quantile(0.0)` is the minimum's bucket and `quantile(1.0)` the
+    /// maximum.
+    pub fn quantile(&self, q: f64) -> u64 {
+        quantile_from_counts(&self.counts, self.count, self.min(), self.max, q)
     }
 
     /// Median estimate.
     pub fn p50(&self) -> u64 {
-        self.percentile(50.0)
+        self.quantile(0.5)
     }
 
     /// 95th-percentile estimate.
     pub fn p95(&self) -> u64 {
-        self.percentile(95.0)
+        self.quantile(0.95)
     }
 
     /// 99th-percentile estimate.
     pub fn p99(&self) -> u64 {
-        self.percentile(99.0)
+        self.quantile(0.99)
     }
 
     /// 99.9th-percentile estimate.
     pub fn p999(&self) -> u64 {
-        self.percentile(99.9)
+        self.quantile(0.999)
     }
 }
 
@@ -181,8 +175,8 @@ mod tests {
         h.record(1);
         // Ranks 1..=99 land in bucket 0, rank 100 in bucket 1.
         assert_eq!(h.p50(), 0);
-        assert_eq!(h.percentile(99.0), 0);
-        assert_eq!(h.percentile(100.0), 1);
+        assert_eq!(h.p99(), 0);
+        assert_eq!(h.quantile(1.0), 1);
     }
 
     #[test]
@@ -220,8 +214,8 @@ mod tests {
         assert_eq!(a.sum(), c.sum());
         assert_eq!(a.min(), c.min());
         assert_eq!(a.max(), c.max());
-        for p in [0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
-            assert_eq!(a.percentile(p), c.percentile(p));
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(a.quantile(q), c.quantile(q));
         }
     }
 
@@ -233,6 +227,7 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.p50(), 0);
+        assert_eq!(h.p999(), 0);
     }
 
     #[test]

@@ -18,54 +18,30 @@
 //!   [`merge_checkpoint_json`], so counters, histograms, and phase
 //!   totals survive a kill-and-resume.
 //!
-//! A fourth piece is feature-independent: [`LatencyHistogram`], a
-//! plain log₂-bucketed histogram with p50/p99/p999 quantile extraction
-//! (documented ≤ 2× bucket-granularity error bound) for simulation
-//! *results* that must not disappear when observability is compiled
-//! out — the serving simulator's latency percentiles are built on it.
-//!
-//! The `enabled` feature (on by default) selects the real backend.
-//! With `--no-default-features` every entry point is an empty
-//! `#[inline(always)]` function and every type is zero-sized, so
-//! instrumented code compiles to nothing — callers never need their
-//! own `#[cfg]` guards. Downstream crates re-expose the switch as a
-//! `telemetry` feature forwarding to `telemetry/enabled`.
+//! Histograms are plain values too: the serving simulator records its
+//! latency *results* into [`Histogram`] and reads p50/p99/p999 from
+//! it, so a result percentile and a snapshot percentile share one
+//! rank definition ([`Histogram::quantile`]).
 
 mod export;
+mod hist;
 mod quantile;
 mod snapshot;
-
-#[cfg(feature = "enabled")]
-mod hist;
-#[cfg(feature = "enabled")]
 mod state;
 
-#[cfg(not(feature = "enabled"))]
-mod noop;
-
 pub use export::{render_chrome_trace_json, render_snapshot_json};
-pub use quantile::LatencyHistogram;
-pub use snapshot::{HistogramSummary, PhaseRow, Snapshot, TraceData, TraceEvent};
-
-#[cfg(feature = "enabled")]
 pub use hist::Histogram;
-#[cfg(feature = "enabled")]
+pub use snapshot::{HistogramSummary, PhaseRow, Snapshot, TraceData, TraceEvent};
 pub use state::{
     checkpoint_json, counter_add, gauge_set, hist_merge, hist_record, merge_checkpoint_json,
     merge_sink, reset, scoped_sink, sim_slice, snapshot, span, trace_data, SinkImage, SpanGuard,
 };
 
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    checkpoint_json, counter_add, gauge_set, hist_merge, hist_record, merge_checkpoint_json,
-    merge_sink, reset, scoped_sink, sim_slice, snapshot, span, trace_data, Histogram, SinkImage,
-    SpanGuard,
-};
-
-/// Whether the real backend is compiled in.
+/// Whether the observability backend is compiled in: always `true`.
+/// Benchmark hosts report it next to their results.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
+    true
 }
 
 /// Renders the current registry contents as a JSON metrics snapshot.

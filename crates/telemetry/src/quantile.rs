@@ -1,11 +1,4 @@
-//! Quantile extraction over log₂-bucketed latency histograms.
-//!
-//! This module is compiled unconditionally — unlike the registry-backed
-//! [`crate::Histogram`], which the `enabled` feature swaps for a
-//! zero-sized no-op — because simulation *results* (e.g. the serving
-//! simulator's latency percentiles) must not change when observability
-//! is compiled out. [`LatencyHistogram`] is a plain value type with no
-//! global state: record samples, merge shards, extract quantiles.
+//! Bucketing and rank math behind [`crate::Histogram`].
 //!
 //! # Bucketing and error bound
 //!
@@ -68,124 +61,10 @@ pub(crate) fn quantile_from_counts(counts: &[u64], count: u64, min: u64, max: u6
     max
 }
 
-/// A plain log₂-bucketed histogram of `u64` latency samples with
-/// p50/p99/p999 extraction.
-///
-/// Always a real data structure, independent of the `enabled` feature
-/// (see the module docs); use the registry-backed [`crate::Histogram`]
-/// via [`crate::hist_record`] for observability-only metrics instead.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    counts: [u64; BUCKETS],
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            counts: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.counts[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += v as u128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Smallest recorded sample (`0` when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Arithmetic mean (`0.0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Upper-bound estimate of the quantile at rank fraction
-    /// `q ∈ [0, 1]`; see the module docs for the ≤ 2× error bound.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_counts(
-            &self.counts,
-            self.count,
-            if self.count == 0 { 0 } else { self.min },
-            self.max,
-            q,
-        )
-    }
-
-    /// Median estimate.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th-percentile estimate.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
 
     #[test]
     fn bucket_boundaries() {
@@ -200,26 +79,18 @@ mod tests {
         assert_eq!(bucket_upper_bound(64), u64::MAX);
     }
 
-    /// Closed-form check on uniform data 1..=1000: ranks, buckets, and
-    /// clamps all computed by hand.
+    /// Closed-form check on uniform data 1..=1000 at the rank extremes.
     #[test]
     fn closed_form_uniform() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         for v in 1..=1000u64 {
             h.record(v);
         }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.sum(), 500_500);
-        assert!((h.mean() - 500.5).abs() < 1e-9);
-        // p50: rank 500 → value 500 → bucket 9 (256..=511) → 511.
-        assert_eq!(h.p50(), 511);
-        // True p50 is 500; 511/500 < 2 — inside the documented bound.
-        assert!(h.p50() >= 500 && h.p50() < 1000);
-        // p99: rank 990 → bucket 10 (512..=1023), clamped to max 1000.
-        assert_eq!(h.p99(), 1000);
-        // p999: rank 1000 → the maximum itself.
+        // p999: rank ceil(0.999 × 1000) = 999 → bucket 10 (512..=1023),
+        // clamped to max 1000.
         assert_eq!(h.p999(), 1000);
-        // q=0 reports the minimum's bucket (bucket 1 upper bound = 1).
+        // q=0 reports the minimum's bucket (bucket 1 upper bound = 1),
+        // q=1 the maximum itself.
         assert_eq!(h.quantile(0.0), 1);
         assert_eq!(h.quantile(1.0), 1000);
     }
@@ -227,7 +98,7 @@ mod tests {
     /// The p999 rank must isolate a 1-in-1000 outlier exactly.
     #[test]
     fn closed_form_tail_outlier() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         for _ in 0..999 {
             h.record(10);
         }
@@ -236,19 +107,19 @@ mod tests {
         // clamped to min 10 ≤ 15 ≤ max: stays 15.
         assert_eq!(h.p99(), 15);
         // p999: rank 999 → still the 10s bucket.
-        assert_eq!(h.quantile(0.999), 15);
-        // But with one more sample the outlier is rank 1000 of 1000:
+        assert_eq!(h.p999(), 15);
+        // Only rank 1000 of 1000 reaches the outlier.
         assert_eq!(h.quantile(1.0), 100_000);
     }
 
     /// Exact values at {0, 1} and single-sample histograms.
     #[test]
     fn closed_form_exact_small_values() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         h.record(0);
         assert_eq!(h.p50(), 0);
         assert_eq!(h.p999(), 0);
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         h.record(7);
         // Single sample: every quantile is clamped to min == max == 7.
         for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
@@ -260,7 +131,7 @@ mod tests {
     #[test]
     fn error_bound_holds() {
         for true_v in [1u64, 3, 7, 100, 1023, 1024, 1_000_000, 1 << 40] {
-            let mut h = LatencyHistogram::new();
+            let mut h = Histogram::new();
             // Surround with mass so no min/max clamp hides the bucket
             // estimate: half the samples below, half above.
             for _ in 0..500 {
@@ -281,13 +152,11 @@ mod tests {
         }
     }
 
+    /// Bucket-count addition is exact, so every rank — the p999 tail
+    /// included — agrees with recording both streams into one histogram.
     #[test]
     fn merge_equals_combined_recording() {
-        let (mut a, mut b, mut c) = (
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-        );
+        let (mut a, mut b, mut c) = (Histogram::new(), Histogram::new(), Histogram::new());
         for v in 0..200u64 {
             a.record(v * 3);
             c.record(v * 3);
@@ -304,9 +173,15 @@ mod tests {
         }
     }
 
+    /// No samples: every rank reports 0, even with the empty histogram's
+    /// `min = u64::MAX` sentinel that a clamp would otherwise return.
     #[test]
     fn empty_is_sane() {
-        let h = LatencyHistogram::new();
+        let counts = [0u64; BUCKETS];
+        for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
+            assert_eq!(quantile_from_counts(&counts, 0, u64::MAX, 0, q), 0);
+        }
+        let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);

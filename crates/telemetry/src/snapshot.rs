@@ -1,4 +1,4 @@
-//! Plain-data snapshot types shared by the enabled and no-op backends.
+//! Plain-data snapshot types produced by the registry and consumed by the exporters.
 
 /// Summary statistics of one histogram at snapshot time.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,4 +1,4 @@
-//! The enabled backend: a process-global registry behind one mutex.
+//! The registry: process-global metrics and trace state behind one mutex.
 //!
 //! Hot paths in the simulator (the DRAM scheduler in particular)
 //! should batch locally and flush deltas here at coarse intervals —

@@ -1,12 +1,10 @@
-//! Integration tests for the enabled backend: span nesting, phase
+//! Integration tests for the registry: span nesting, phase
 //! aggregation, and exporter output validated by an independent JSON
 //! parser (`serde_json`).
 //!
 //! The registry is process-global, so everything runs inside a single
 //! `#[test]` with `reset()` between scenarios — parallel test threads
 //! would otherwise interleave their metrics.
-
-#![cfg(feature = "enabled")]
 
 use telemetry as obs;
 
