@@ -22,13 +22,15 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Durably replaces `path` with `bytes` (temp file → fsync → rename).
+/// Durably replaces `path` with the concatenation of `parts` (temp file
+/// → fsync → rename). The parts are written to the temp file in order,
+/// so a caller never has to join them into one buffer first.
 ///
 /// The parent directory is created if missing. After the rename the
 /// directory itself is fsynced on a best-effort basis so the new entry
 /// survives power loss; a failure there is ignored because the data
 /// file is already durable and the rename already visible.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+pub fn atomic_write(path: &Path, parts: &[&[u8]]) -> Result<(), CheckpointError> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             fs::create_dir_all(dir).map_err(|e| CheckpointError::io(dir, "create dir", &e))?;
@@ -36,8 +38,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     }
     let tmp = tmp_path(path);
     let mut f = File::create(&tmp).map_err(|e| CheckpointError::io(&tmp, "create", &e))?;
-    f.write_all(bytes)
-        .map_err(|e| CheckpointError::io(&tmp, "write", &e))?;
+    for part in parts {
+        f.write_all(part)
+            .map_err(|e| CheckpointError::io(&tmp, "write", &e))?;
+    }
     f.sync_all()
         .map_err(|e| CheckpointError::io(&tmp, "fsync", &e))?;
     drop(f);
@@ -56,7 +60,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
 
 /// [`atomic_write`] for text content.
 pub fn atomic_write_str(path: &Path, text: &str) -> Result<(), CheckpointError> {
-    atomic_write(path, text.as_bytes())
+    atomic_write(path, &[text.as_bytes()])
 }
 
 #[cfg(test)]
@@ -74,9 +78,9 @@ mod tests {
     fn writes_and_replaces() {
         let dir = scratch("replace");
         let path = dir.join("out.json");
-        atomic_write(&path, b"{\"v\":1}").unwrap();
+        atomic_write(&path, &[b"{\"v\":1}"]).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"{\"v\":1}");
-        atomic_write(&path, b"{\"v\":2}").unwrap();
+        atomic_write(&path, &[b"{\"v\":", b"2}"]).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"{\"v\":2}");
         // No temp file left behind.
         assert!(!path.with_file_name("out.json.tmp").exists());

@@ -1,33 +1,62 @@
 //! CRC-32 (IEEE 802.3 polynomial), the checksum guarding snapshot
-//! payloads. Table-driven, computed once at first use.
+//! payloads. Slicing-by-8: eight lookup tables, built at compile time,
+//! fold eight input bytes per step.
 
-use std::sync::OnceLock;
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is
+/// the CRC register after byte `b` is followed by `k` zero bytes, so
+/// the eight bytes of one step are each looked up at their distance
+/// from the step's end and XORed together.
+static TABLES: [[u32; 256]; 8] = tables();
 
-fn table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+const fn tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = table();
+    let t = &TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut steps = bytes.chunks_exact(8);
+    for s in &mut steps {
+        let lo = c ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        let hi = u32::from_le_bytes([s[4], s[5], s[6], s[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in steps.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -35,6 +64,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::crc32;
+
+    /// Bit-at-a-time CRC-32, the definition the tables are derived from.
+    fn bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn known_vectors() {
@@ -48,5 +93,24 @@ mod tests {
         let a = crc32(b"checkpoint payload");
         let b = crc32(b"checkpoint qayload");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn sliced_matches_bitwise_at_every_length_and_alignment() {
+        let mut x = 0x9E37_79B9u32;
+        let buf: Vec<u8> = (0..1_008)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        for start in [0, 1, 3, 7] {
+            for len in 0..=1_000 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), bitwise(bytes), "start {start}, len {len}");
+            }
+        }
     }
 }

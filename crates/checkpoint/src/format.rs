@@ -40,14 +40,21 @@ pub const FORMAT_VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 32;
 
+/// The fixed header that frames `payload`.
+fn header(config_hash: u64, payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..8].copy_from_slice(&MAGIC);
+    h[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    h[12..20].copy_from_slice(&config_hash.to_le_bytes());
+    h[20..28].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    h[28..32].copy_from_slice(&crc32(payload).to_le_bytes());
+    h
+}
+
 /// Frames `payload` in the container format (header + payload bytes).
 pub fn encode(config_hash: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&config_hash.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&header(config_hash, payload));
     out.extend_from_slice(payload);
     out
 }
@@ -119,12 +126,17 @@ pub fn decode<'a>(
 }
 
 /// Serializes `state` and atomically persists it to `path`.
+///
+/// The file holds exactly [`encode`]'s bytes, but the header and the
+/// payload are written one after the other, so the payload is never
+/// copied into a framed buffer.
 pub fn save<T: Serialize>(path: &Path, config_hash: u64, state: &T) -> Result<(), CheckpointError> {
     let json = serde_json::to_string(state).map_err(|e| CheckpointError::Malformed {
         path: path.display().to_string(),
         detail: format!("state failed to serialize: {e}"),
     })?;
-    atomic_write(path, &encode(config_hash, json.as_bytes()))
+    let payload = json.as_bytes();
+    atomic_write(path, &[&header(config_hash, payload), payload])
 }
 
 /// Loads and validates a snapshot from `path`.
@@ -183,6 +195,20 @@ mod tests {
         save(&path, 0xABCD, &state).unwrap();
         let back: Demo = load(&path, 0xABCD).unwrap();
         assert_eq!(back, state);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn saved_file_is_the_encoded_container() {
+        let dir = scratch("encoded");
+        let path = dir.join("snap.ckpt");
+        let state = Demo {
+            cursor: 3,
+            values: vec![1.5, -0.25],
+        };
+        save(&path, 0x1234, &state).unwrap();
+        let json = serde_json::to_string(&state).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), encode(0x1234, json.as_bytes()));
         let _ = fs::remove_dir_all(&dir);
     }
 

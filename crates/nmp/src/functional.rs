@@ -1783,6 +1783,37 @@ mod tests {
         );
     }
 
+    /// Pins the JSON bytes of a mid-run [`FunctionalState`], the payload
+    /// a checkpointed simulation writes. The faulted config keeps both
+    /// injector images (DRAM lanes and broadcast/unit layer) present,
+    /// and the boundary lands mid-metapath so the in-flight matrix is
+    /// serialized too.
+    #[test]
+    fn snapshot_bytes_match_the_golden_digest() {
+        use faultsim::FaultConfig;
+        let (ds, h) = setup(0.005, 16);
+        let cfg = nmp_config(16).with_faults(FaultConfig {
+            seed: 9,
+            bit_flip_rate: 0.01,
+            broadcast_drop_rate: 0.2,
+            stall_rate: 0.05,
+            ..FaultConfig::off()
+        });
+        let mut run = ResumableRun::new(cfg);
+        for _ in 0..4 {
+            let done = run
+                .step(&ds.graph, &h, ModelKind::Magnn, &ds.metapaths, 7)
+                .unwrap();
+            assert!(!done);
+        }
+        assert_eq!(run.cursor(), (1, 7));
+        let state = checkpoint::Snapshot::snapshot(&run);
+        assert!(state.injector.is_some() && state.mem.injector.is_some());
+        assert!(state.current.is_some() && state.structural.len() == 1);
+        let json = serde_json::to_string(&state).unwrap();
+        assert_eq!(checkpoint::fnv1a64(json.as_bytes()), 0xb81f_75b8_1313_caf5);
+    }
+
     #[test]
     fn thread_budget_does_not_change_results() {
         use faultsim::FaultConfig;

@@ -109,15 +109,15 @@ pub struct NmpReport {
 // experiment itself relies on. Hand-written because the vendored serde
 // derive has no `#[serde(skip)]`; field order mirrors the derive.
 impl Serialize for NmpReport {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Map(vec![
-            ("cycles".to_string(), self.cycles.to_value()),
-            ("seconds".to_string(), self.seconds.to_value()),
-            ("counts".to_string(), self.counts.to_value()),
-            ("energy".to_string(), self.energy.to_value()),
-            ("dram_stats".to_string(), self.dram_stats.to_value()),
-            ("faults".to_string(), self.faults.to_value()),
-        ])
+    fn serialize(&self, w: &mut serde::ser::Writer) {
+        w.begin_object();
+        w.field("cycles", &self.cycles);
+        w.field("seconds", &self.seconds);
+        w.field("counts", &self.counts);
+        w.field("energy", &self.energy);
+        w.field("dram_stats", &self.dram_stats);
+        w.field("faults", &self.faults);
+        w.end_object();
     }
 }
 
