@@ -84,16 +84,20 @@ pub fn fig16(_cx: &Ctx) -> ExpResult {
                 .ctx("fig16: scalability estimate")?
                 .seconds)
         };
-        let base_single = run(1, 2)?;
-        let base_multi = run(1, 2)?;
+        // One channel of 2 DIMMs is the baseline of both layouts and
+        // both layouts' 2-DIMM point, so it is estimated once.
+        let base = run(1, 2)?;
         for dimms in [2usize, 4, 8, 16, 32, 64] {
-            let single = run(1, dimms)?;
-            let multi = run((dimms / 2).max(1), 2)?;
+            let (single, multi) = if dimms == 2 {
+                (base, base)
+            } else {
+                (run(1, dimms)?, run(dimms / 2, 2)?)
+            };
             t.row(vec![
                 format!("{}-MAGNN", id.abbrev()),
                 dimms.to_string(),
-                fmt_x(base_single / single),
-                fmt_x(base_multi / multi),
+                fmt_x(base / single),
+                fmt_x(base / multi),
             ]);
         }
     }

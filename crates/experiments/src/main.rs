@@ -311,7 +311,6 @@ fn main() -> ExitCode {
         }
     }
 
-    phase_summary();
     if let Some(path) = &metrics_out {
         let json = if deterministic_metrics {
             obs::deterministic_snapshot_json()
@@ -334,32 +333,6 @@ fn main() -> ExitCode {
         eprintln!("telemetry: Chrome trace written to {path} (load in Perfetto)");
     }
     ExitCode::SUCCESS
-}
-
-/// Prints the per-phase wall-clock summary collected by the telemetry
-/// spans during the run (skipped when no instrumented phase executed).
-fn phase_summary() {
-    let snap = obs::snapshot();
-    if snap.phases.is_empty() {
-        return;
-    }
-    let mut table = common::TableWriter::new(
-        "telemetry_phases",
-        "Telemetry: per-phase wall-clock summary",
-        &["phase", "calls", "total (ms)", "mean (ms)"],
-    );
-    for p in &snap.phases {
-        table.row(vec![
-            p.name.clone(),
-            p.calls.to_string(),
-            format!("{:.2}", p.total_ms),
-            format!("{:.3}", p.total_ms / p.calls.max(1) as f64),
-        ]);
-    }
-    table.note("Spans nest, so totals across phases can exceed wall time.");
-    if let Err(e) = table.finish() {
-        eprintln!("telemetry: failed to save phase summary: {e}");
-    }
 }
 
 fn names() -> Vec<&'static str> {

@@ -7,21 +7,25 @@
 //! per-start-vertex counts the functional simulator uses, and the
 //! effective rank-local bandwidth/energy from a short calibration run
 //! of the command-level DRAM simulator under the aggregation access
-//! pattern. The estimator and the functional simulator agree on small
-//! graphs (cross-checked in `tests/`), which is what licenses using the
-//! estimator at scale.
+//! pattern. Channel-bus traffic, bus time and energy go through the
+//! same composition code as the functional simulator's, so the two
+//! models differ only in rank-local DRAM time (calibrated bytes per
+//! cycle here, serviced bursts there) and in per-start-vertex
+//! accounting. They agree on small graphs (cross-checked in `tests/`),
+//! which is what licenses using the estimator at scale.
 
-use dramsim::{MemorySystem, Request};
+use dramsim::{EnergyBreakdown, MemorySystem};
 use hetgraph::instances::{count_instances_per_start, suffix_walk_counts};
 use hetgraph::{HeteroGraph, Metapath};
 use hgnn::ModelKind;
 
 use crate::comm::CommPolicy;
 use crate::config::NmpConfig;
+use crate::cost::{self, BusTraffic};
 use crate::distribution::distribute;
 use crate::error::NmpError;
 use crate::layout::Placement;
-use crate::report::{NmpCounts, NmpEnergy, NmpReport};
+use crate::report::{NmpCounts, NmpReport};
 
 /// Calibration result: what the rank-local interface actually sustains
 /// under the aggregation access pattern.
@@ -43,24 +47,15 @@ pub fn calibrate_rank_local(config: &NmpConfig) -> RankCalibration {
     let vb = config.vector_bytes();
     let home = placement.home(0, 0);
     let samples = 2048u64;
-    let burst = 64u64;
-    let issue = |offset: u64, write: bool, mem: &mut MemorySystem| {
-        let mut off = offset;
-        while off < offset + vb as u64 {
-            let addr = placement.rank_local_addr(home, off);
-            if write {
-                mem.enqueue(Request::local_write(addr, 64));
-            } else {
-                mem.enqueue(Request::local_read(addr, 64));
-            }
-            off += burst;
-        }
-    };
     for slot in 0..samples {
         if slot >= 1 {
-            issue(placement.agg_offset(slot - 1), false, &mut mem);
+            for req in placement.rank_vec(home, placement.agg_offset(slot - 1), vb, false) {
+                mem.enqueue(req);
+            }
         }
-        issue(placement.agg_offset(slot), true, &mut mem);
+        for req in placement.rank_vec(home, placement.agg_offset(slot), vb, true) {
+            mem.enqueue(req);
+        }
     }
     let report = mem.service_all();
     let bytes = (report.stats.local_bytes) as f64;
@@ -102,26 +97,12 @@ pub fn estimate(
     let mut gen = vec![0f64; dimms];
     let mut compute = vec![0f64; ranks];
     let mut local_bytes = vec![0f64; ranks];
-    let mut normal_bytes = vec![0f64; channels];
-    let mut broadcast_bytes = vec![0f64; channels];
-    let mut edge_bytes = vec![0f64; channels];
-    let mut host_agg_bytes = vec![0f64; channels];
-    let mut demand_bytes = vec![0f64; channels];
+    let mut bus = BusTraffic::new(channels);
     let mut host_extra_cycles = 0f64;
 
     for mp in metapaths {
         let dist = distribute(graph, mp, cfg, &placement)?;
-        for ch in 0..channels {
-            normal_bytes[ch] += dist.normal_bytes[ch];
-            broadcast_bytes[ch] += dist.broadcast_bytes[ch];
-            edge_bytes[ch] += dist.edge_read_bytes[ch];
-        }
-        counts.host_cycles += dist.host_cycles;
-        counts.broadcast_transfers += dist.broadcast_transfers;
-        counts.normal_transfers += dist.normal_transfers;
-        counts.bus_payload_bytes += dist.total_payload_bytes() as u64;
-        counts.normal_payload_bytes += dist.normal_bytes.iter().sum::<f64>() as u64;
-        counts.broadcast_payload_bytes += dist.broadcast_bytes.iter().sum::<f64>() as u64;
+        bus.add_distribution(&dist, &mut counts);
 
         let hops = mp.length() as u128;
         let t0 = mp.start_type();
@@ -167,11 +148,11 @@ pub fn estimate(
                     // operands are fetched on demand over the channel
                     // bus.
                     let fetched = aggs as f64 * vb * cfg.naive_demand_fraction;
-                    demand_bytes[home.channel] += fetched;
+                    bus.demand[home.channel] += fetched;
                     counts.demand_fetch_bytes += fetched as u64;
                 }
             } else {
-                host_agg_bytes[home.channel] += (2.0 * aggs as f64 + inter as f64) * vb;
+                bus.host_agg[home.channel] += (2.0 * aggs as f64 + inter as f64) * vb;
                 host_extra_cycles += (aggs + inter) as f64 * (d as f64 / 4.0 + 4.0);
             }
         }
@@ -199,7 +180,7 @@ pub fn estimate(
         }
         if !cfg.aggregate_in_nmp {
             let per_ch = n as f64 * (k + 1) as f64 * vb / channels as f64;
-            for b in host_agg_bytes.iter_mut() {
+            for b in bus.host_agg.iter_mut() {
                 *b += per_ch;
             }
             host_extra_cycles += n as f64 * k as f64 * (d as f64 / 4.0 + 4.0);
@@ -207,19 +188,7 @@ pub fn estimate(
     }
 
     // ---- Timing composition. ----
-    let t_bl = cfg.dram.timing.t_bl as f64;
-    let burst = cfg.dram.burst_bytes as f64;
-    let bus_cycles_max = (0..channels)
-        .map(|ch| {
-            (normal_bytes[ch]
-                + broadcast_bytes[ch]
-                + edge_bytes[ch]
-                + host_agg_bytes[ch]
-                + demand_bytes[ch])
-                / burst
-                * t_bl
-        })
-        .fold(0f64, f64::max);
+    let bus_cycles_max = bus.bus_cycles(&cfg.dram);
     let gen_max = gen.iter().copied().fold(0f64, f64::max);
     let rank_cycles_max = (0..ranks)
         .map(|r| compute[r].max(local_bytes[r] / calib.bytes_per_cycle))
@@ -236,29 +205,16 @@ pub fn estimate(
         .ceil() as u64;
     let seconds = cycles as f64 * cfg.dram.cycle_seconds();
 
-    // ---- Energy composition. ----
-    let e = cfg.dram.energy;
-    let mut energy = NmpEnergy::default();
+    // ---- Energy composition: rank-local DRAM energy from the
+    // calibration, split evenly between arrays and activates. ----
     let local_total: f64 = local_bytes.iter().sum();
-    energy.dram.local_io_pj = local_total * 8.0 * e.local_pj_per_bit;
-    energy.dram.array_pj = local_total * calib.energy_pj_per_byte * 0.5;
-    energy.dram.activate_pj = local_total * calib.energy_pj_per_byte * 0.5;
-    let normal_total: f64 = normal_bytes.iter().sum::<f64>()
-        + edge_bytes.iter().sum::<f64>()
-        + host_agg_bytes.iter().sum::<f64>()
-        + demand_bytes.iter().sum::<f64>();
-    let broadcast_total: f64 = broadcast_bytes.iter().sum();
-    energy.dram.io_pj = normal_total * 8.0 * e.io_pj_per_bit;
-    energy.dram.broadcast_io_pj = broadcast_total * 8.0 * e.io_pj_per_bit * e.broadcast_io_factor;
-    let edge_total: f64 = edge_bytes.iter().sum::<f64>() + demand_bytes.iter().sum::<f64>();
-    energy.dram.array_pj += edge_total * 8.0 * e.array_pj_per_bit;
-    energy.dram.activate_pj += edge_total / 512.0 * e.act_pre_pj;
-    energy.dram.background_pj = e.background_mw_per_rank * 1e-3 * ranks as f64 * seconds * 1e12;
-    energy.logic_pj = cfg
-        .area_power
-        .logic_energy_pj(dimms, cfg.dram.ranks_per_dimm, seconds);
-    let host_seconds = host_cycles_total / (cfg.host_clock_mhz * 1e6);
-    energy.host_pj = cfg.host_active_watts * host_seconds * 1e12;
+    let rank_local = EnergyBreakdown {
+        local_io_pj: local_total * 8.0 * cfg.dram.energy.local_pj_per_bit,
+        array_pj: local_total * calib.energy_pj_per_byte * 0.5,
+        activate_pj: local_total * calib.energy_pj_per_byte * 0.5,
+        ..Default::default()
+    };
+    let energy = cost::energy(cfg, rank_local, &bus, seconds, host_cycles_total);
 
     Ok(NmpReport {
         cycles,

@@ -9,7 +9,7 @@
 //! feature vector, its per-instance aggregation results, and its output
 //! all live there.
 
-use dramsim::{AddressMapper, DramConfig, Location};
+use dramsim::{AddressMapper, DramConfig, Location, Request};
 use serde::{Deserialize, Serialize};
 
 /// A home location for a vertex: channel / DIMM / rank coordinates.
@@ -87,7 +87,7 @@ impl Placement {
     /// physical addresses* (the system address map interleaves
     /// channels first), so multi-burst rank-local transfers must be
     /// issued burst by burst through this function — see
-    /// [`Placement::rank_local_addr`].
+    /// [`Placement::rank_vec`].
     fn rank_addr(&self, home: Home, offset: u64) -> u64 {
         let c = &self.config;
         let burst = c.burst_bytes as u64;
@@ -114,11 +114,25 @@ impl Placement {
         })
     }
 
-    /// Physical address of one burst within a rank's local space
-    /// (public form of the internal mapping, §4.4: a vertex's data
-    /// stays entirely within its home rank).
-    pub fn rank_local_addr(&self, home: Home, offset: u64) -> u64 {
-        self.rank_addr(home, offset)
+    /// The rank-local requests that move `bytes` from rank offset
+    /// `offset`: one 64-byte burst each, in ascending offset order,
+    /// every one within the home rank (§4.4). Consecutive physical
+    /// addresses would stripe across channels instead.
+    pub fn rank_vec(
+        &self,
+        home: Home,
+        offset: u64,
+        bytes: usize,
+        write: bool,
+    ) -> impl Iterator<Item = Request> + '_ {
+        (offset..offset + bytes as u64).step_by(64).map(move |off| {
+            let addr = self.rank_addr(home, off);
+            if write {
+                Request::local_write(addr, 64)
+            } else {
+                Request::local_read(addr, 64)
+            }
+        })
     }
 
     /// Address of a vertex's (projected) feature vector, in its home

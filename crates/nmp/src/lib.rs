@@ -19,9 +19,16 @@
 //! * [`FunctionalSim`] — executes the dataflow end to end, computing
 //!   real embeddings (validated against the `hgnn` engines) with
 //!   rank-local traffic scheduled by the command-level DRAM simulator;
+//!   [`ResumableRun`] steps it in chunks and resumes it from a
+//!   snapshot, the §4.4 recovery mechanism;
 //! * [`estimate()`] — a closed-form estimator for web-scale graphs,
 //!   calibrated against the DRAM simulator and cross-checked against
 //!   the functional simulator on small graphs.
+//!
+//! Both cost models compose bus traffic, bus time and energy with the
+//! same code. They differ only in rank-local DRAM time (serviced
+//! bursts versus a calibrated bytes per cycle) and in per-start-vertex
+//! accounting.
 //!
 //! # Example
 //!
@@ -49,6 +56,7 @@
 pub mod buffers;
 pub mod comm;
 mod config;
+mod cost;
 pub mod distribution;
 mod error;
 pub mod estimate;
