@@ -17,7 +17,7 @@ use hgnn::{OpCounters, WorkloadProfile};
 
 use crate::spec::{
     PhaseEfficiency, PlatformSpec, AWB_GCN, CPU, CPU_SOFTWARE_ILP_PENALTY,
-    CPU_SOFT_PER_INSTANCE_NS, GPU, GPU_MEMORY_BYTES, HYGCN, PCIE_BW, RECNMP, RECNMP_HOST_ISSUE_NS,
+    CPU_SOFT_PER_INSTANCE_NS, GPU, GPU_MEMORY_BYTES, HYGCN, RECNMP, RECNMP_HOST_ISSUE_NS,
 };
 use crate::workload::{PlatformReport, PlatformWorkload};
 
@@ -129,10 +129,9 @@ impl Platform for GpuModel {
             return PlatformReport::out_of_memory();
         }
         let spec = &GPU;
-        // Instances are materialized on-device, then shipped nowhere;
-        // the host still stages the graph over PCIe once per update.
-        let matching =
-            matching_time(&w.naive, spec) + w.naive.matching.bytes_written as f64 / PCIE_BW * 0.0;
+        // Instances are materialized on-device, so matching ships
+        // nothing over PCIe.
+        let matching = matching_time(&w.naive, spec);
         let inference = inference_time(&w.naive, spec);
         let seconds = matching + inference;
         PlatformReport {

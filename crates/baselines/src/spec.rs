@@ -151,9 +151,6 @@ pub const RECNMP: PlatformSpec = PlatformSpec {
 /// host builds and sends one NMP instruction per vector aggregation.
 pub const RECNMP_HOST_ISSUE_NS: f64 = 1.6;
 
-/// PCIe bandwidth for host→GPU instance shipping (bytes/s).
-pub const PCIE_BW: f64 = 12e9;
-
 /// Per-instance bookkeeping of the on-the-fly software pipeline (ns):
 /// cheaper than the framework's per-instance dispatch but still a
 /// dependent software loop (the §3.3 "high runtime overhead" that

@@ -272,42 +272,16 @@ fn main() -> ExitCode {
             }
         })
     };
-    let mut ran = std::collections::BTreeSet::new();
-    for arg in &experiments {
-        if arg == "all" {
-            for (name, f) in EXPERIMENTS {
-                // `audit` only works under --features audit and exists
-                // to gate CI, not to regenerate paper artifacts; run it
-                // by name.
-                if *name == "audit" {
-                    continue;
-                }
-                if ran.insert(*name) {
-                    if let Err(code) = run(name, *f) {
-                        return code;
-                    }
-                }
-            }
-            continue;
+    let plan = match run_plan(&experiments) {
+        Ok(plan) => plan,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
         }
-        match EXPERIMENTS.iter().find(|(n, _)| n == arg) {
-            Some((name, f)) => {
-                // fig12 and fig13 share one computation; avoid
-                // running it twice when both are requested.
-                let key = if *name == "fig13" { "fig12" } else { name };
-                if ran.insert(key) {
-                    if let Err(code) = run(name, *f) {
-                        return code;
-                    }
-                }
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment {arg:?}; known: all {}",
-                    names().join(" ")
-                );
-                return ExitCode::from(2);
-            }
+    };
+    for (name, f) in plan {
+        if let Err(code) = run(name, f) {
+            return code;
         }
     }
 
@@ -339,6 +313,78 @@ fn names() -> Vec<&'static str> {
     EXPERIMENTS.iter().map(|(n, _)| *n).collect()
 }
 
+/// The experiments to run for the command-line names, in order. `all`
+/// expands to every experiment except `audit`, which only works under
+/// `--features audit` and exists to gate CI, not to regenerate paper
+/// artifacts; run it by name. An experiment is planned once, however
+/// often it is named, and fig12 and fig13 count as one because they
+/// share one computation.
+fn run_plan(args: &[String]) -> Result<Vec<(&'static str, ExpFn)>, String> {
+    let mut plan = Vec::new();
+    let mut planned = std::collections::BTreeSet::new();
+    for arg in args {
+        let picked: Vec<(&'static str, ExpFn)> = if arg == "all" {
+            EXPERIMENTS
+                .iter()
+                .copied()
+                .filter(|(name, _)| *name != "audit")
+                .collect()
+        } else {
+            let found = EXPERIMENTS.iter().copied().find(|(name, _)| name == arg);
+            let Some(exp) = found else {
+                return Err(format!(
+                    "unknown experiment {arg:?}; known: all {}",
+                    names().join(" ")
+                ));
+            };
+            vec![exp]
+        };
+        for (name, f) in picked {
+            let key = if name == "fig13" { "fig12" } else { name };
+            if planned.insert(key) {
+                plan.push((name, f));
+            }
+        }
+    }
+    Ok(plan)
+}
+
 fn banner(name: &str) {
     println!("\n=== {name} ===");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn planned(args: &[&str]) -> Vec<&'static str> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        run_plan(&args)
+            .unwrap()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect()
+    }
+
+    #[test]
+    fn all_computes_figs_12_and_13_once() {
+        let plan = planned(&["all"]);
+        let shared = plan
+            .iter()
+            .filter(|n| **n == "fig12" || **n == "fig13")
+            .count();
+        assert_eq!(shared, 1, "{plan:?}");
+        assert!(!plan.contains(&"audit"), "{plan:?}");
+        assert_eq!(plan.len(), EXPERIMENTS.len() - 2, "{plan:?}");
+    }
+
+    #[test]
+    fn named_experiments_are_planned_once_in_order() {
+        assert_eq!(planned(&["fig13", "fig12", "verify"]), ["fig13", "verify"]);
+        let plan = planned(&["verify", "all", "fig13"]);
+        assert_eq!(plan[0], "verify");
+        assert_eq!(plan.iter().filter(|n| **n == "verify").count(), 1);
+        assert_eq!(planned(&["audit", "audit"]), ["audit"]);
+        assert!(run_plan(&["nope".to_string()]).is_err());
+    }
 }

@@ -1,7 +1,7 @@
 //! Determinism regression for `--jobs`: every artifact the binary
 //! produces must be byte-identical at every host thread budget.
 //!
-//! Two paths are exercised end to end:
+//! Three paths are exercised end to end:
 //!
 //! 1. `verify` — the cycle-level hardware pipeline, where `--jobs`
 //!    drives channel-parallel DRAM servicing and DIMM-parallel
@@ -17,11 +17,6 @@
 //! All run at `--jobs 1` and `--jobs 4`; tables, the JSON artifacts,
 //! the sweep journals, and the deterministic telemetry snapshot are
 //! compared byte for byte.
-//!
-//! A fourth axis pins the SIMD kernel backend: `verify` under
-//! `METANMP_KERNELS=scalar` must match the auto-detected backend's
-//! artifacts exactly, since the backends are bit-identical by
-//! construction.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -35,19 +30,12 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn run(cwd: &Path, args: &[&str]) -> Output {
-    run_with_env(cwd, args, &[])
-}
-
-fn run_with_env(cwd: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_metanmp-experiments"));
-    cmd.current_dir(cwd)
+    Command::new(env!("CARGO_BIN_EXE_metanmp-experiments"))
+        .current_dir(cwd)
         .args(args)
         .env_remove("METANMP_INTERRUPT_AFTER_CELLS")
-        .env_remove("METANMP_KERNELS");
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("binary runs")
+        .output()
+        .expect("binary runs")
 }
 
 fn must_read(path: PathBuf) -> Vec<u8> {
@@ -104,52 +92,6 @@ fn verify_is_byte_identical_across_jobs() {
         ],
         &["results/verify.md", "metrics.json"],
     );
-}
-
-/// The SIMD kernel backends promise bit-identical results, so pinning
-/// `METANMP_KERNELS=scalar` must reproduce the default (auto-detected)
-/// backend's `verify` artifacts byte for byte — at both ends of the
-/// `--jobs` range.
-#[test]
-fn verify_is_byte_identical_across_kernel_backends() {
-    let root = scratch("kernels");
-    let artifacts = ["results/verify.md", "metrics.json"];
-    let mut reference: Option<Vec<Vec<u8>>> = None;
-    for (label, env, jobs) in [
-        ("auto-jobs1", None, "1"),
-        ("scalar-jobs1", Some(("METANMP_KERNELS", "scalar")), "1"),
-        ("scalar-jobs4", Some(("METANMP_KERNELS", "scalar")), "4"),
-    ] {
-        let dir = root.join(label);
-        fs::create_dir_all(&dir).unwrap();
-        let args = [
-            "verify",
-            "--seed",
-            "7",
-            "--metrics-out",
-            "metrics.json",
-            "--deterministic-metrics",
-            "--jobs",
-            jobs,
-        ];
-        let env: Vec<(&str, &str)> = env.into_iter().collect();
-        let out = run_with_env(&dir, &args, &env);
-        assert!(
-            out.status.success(),
-            "{label}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let bytes: Vec<Vec<u8>> = artifacts.iter().map(|a| must_read(dir.join(a))).collect();
-        match &reference {
-            None => reference = Some(bytes),
-            Some(want) => {
-                for ((a, got), want) in artifacts.iter().zip(&bytes).zip(want) {
-                    assert_eq!(got, want, "{a} differs between auto and {label}");
-                }
-            }
-        }
-    }
-    let _ = fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -299,10 +299,7 @@ where
             visit(WalkEvent::Leaf);
         } else {
             let v = Vertex::new(types[depth], VertexId::new(vertex));
-            // Copy out the neighbor ids to keep the borrow local; depth
-            // is bounded by metapath length (≤ 5 in practice).
-            let neighbors: Vec<u32> = graph.typed_neighbors(v, types[depth + 1])?.to_vec();
-            for n in neighbors {
+            for &n in graph.typed_neighbors(v, types[depth + 1])? {
                 recurse(graph, types, last, depth + 1, n, visit)?;
             }
         }

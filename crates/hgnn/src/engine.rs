@@ -304,7 +304,8 @@ impl InferenceEngine for MaterializedEngine {
 
             // --- Pre-processing: materialize all instances. ---
             let insts = enumerate_instances(graph, mp, usize::MAX)?;
-            let prefix_nodes = count_prefix_nodes(graph, mp)? + start_count as u128;
+            let tree_nodes = count_prefix_nodes(graph, mp)?;
+            let prefix_nodes = tree_nodes + start_count as u128;
             profile.matching.flops += prefix_nodes;
             profile.matching.bytes_read += prefix_nodes * 4;
             profile.matching.bytes_written += insts.byte_size() as u128;
@@ -317,8 +318,7 @@ impl InferenceEngine for MaterializedEngine {
                 resident += insts.len() as u128 * d as u128 * F32;
             }
             if config.kind == ModelKind::Shgnn {
-                let nodes = count_prefix_nodes(graph, mp)?;
-                resident += nodes * (8 + d as u128 * F32);
+                resident += tree_nodes * (8 + d as u128 * F32);
             }
 
             let mut s = Matrix::zeros(start_count, d);
@@ -498,8 +498,9 @@ impl InferenceEngine for OnTheFlyEngine {
             let hops = mp.length();
             let start_ty = mp.start_type();
             let start_count = graph.vertex_count(start_ty)? as usize;
-            profile.instances += count_instances(graph, mp)?;
-            profile.naive_aggregations += count_instances(graph, mp)? * hops as u128;
+            let instances = count_instances(graph, mp)?;
+            profile.instances += instances;
+            profile.naive_aggregations += instances * hops as u128;
 
             let mut s = Matrix::zeros(start_count, d);
             // One arena for the whole metapath; every buffer is either

@@ -40,9 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the SIMD kernels module needs a scoped
-// `allow` for `std::arch` intrinsics; everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 mod error;

@@ -5,8 +5,8 @@
 //! are small, deterministic, and easy to instrument, which matters more
 //! than raw speed for a simulator whose outputs are op counts and
 //! functional reference results. The dense inner loops live in
-//! [`kernels`], which provides a runtime-detected AVX2 backend with a
-//! bit-identical scalar fallback; the entry points in this module keep
+//! [`kernels`], one portable safe-Rust implementation that fixes every
+//! reduction order in one place; the entry points in this module keep
 //! their legacy signatures and delegate.
 
 use rand::rngs::StdRng;
@@ -161,7 +161,7 @@ pub fn vec_scale(v: &mut [f32], scale: f32) {
 }
 
 /// Dot product of two vectors, reduced through the canonical 8-lane
-/// order defined in [`kernels`] (identical in both backends).
+/// order defined in [`kernels`].
 ///
 /// # Panics
 ///

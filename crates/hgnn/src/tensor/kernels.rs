@@ -1,28 +1,26 @@
-//! SIMD + cache-blocked linear-algebra kernels.
+//! Register- and cache-blocked linear-algebra kernels in portable,
+//! safe Rust.
 //!
 //! Every dense hot path in the workspace — projection GEMVs, the
 //! rank-AU aggregation loops, semantic combination — funnels through
-//! this module. Two backends implement each kernel:
-//!
-//! * **AVX2** (`std::arch`, runtime-detected with
-//!   `is_x86_feature_detected!`), and
-//! * a **scalar fallback** that runs everywhere.
-//!
-//! The backends are *bit-identical* by construction, so swapping one
-//! for the other can never change a simulator artifact:
+//! this module, so each reduction order is written down exactly once:
 //!
 //! * Element-wise kernels ([`add`], [`axpy`], [`scale`]) compute each
 //!   output element independently with a separate multiply and add
-//!   (never a fused multiply-add), so lane width is unobservable.
-//! * [`gemv`] vectorizes across the *output/column* dimension: output
-//!   element `j` accumulates `x[i] * w[i][j]` over inputs `i` in
-//!   ascending order in both backends, preserving the legacy scalar
-//!   reduction order exactly.
+//!   (never a fused multiply-add; Rust does not contract them).
+//! * [`gemv`] accumulates output element `j` as `x[i] * w[i][j]` over
+//!   inputs `i` in ascending order, skipping `x[i] == 0`. Its speed
+//!   comes from register blocking across the output dimension: 32-wide,
+//!   then 8-wide column panels keep their partial sums in fixed-size
+//!   arrays across the whole input loop, so the compiler holds them in
+//!   vector registers and `out` is loaded and stored once per panel
+//!   instead of once per input row. The panel width decides only which
+//!   elements share registers, never the order of additions within
+//!   one, so the result is bit-identical to the plain row-sweep loop.
 //! * [`dot`] reduces through one **canonical fixed-stride 8-lane
-//!   accumulator** ([`LaneAcc`]): element `i` lands in lane `i % 8`
-//!   (chunk-major), the tail feeds lanes `0..r`, and both backends
-//!   finish with the same scalar combine tree. The AVX2 path simply
-//!   materializes the same eight lanes with vector instructions.
+//!   accumulator** (`LaneAcc`): element `i` lands in lane `i % 8`
+//!   (chunk-major), the tail feeds lanes `0..r`, and a fixed scalar
+//!   combine tree finishes — the order of the paper's 8-lane rank-AU.
 //!
 //! [`project_batch`] adds cache blocking on top of [`gemv`]: the
 //! output-column dimension is tiled so the active weight panel fits
@@ -31,27 +29,15 @@
 //! alongside it. Blocking changes traversal order only *across* output
 //! elements, never the reduction order *within* one, so the blocked
 //! product is bit-identical to the naive row-at-a-time loop.
-//!
-//! Backend selection: [`force_backend`] (tests/benches) beats the
-//! `METANMP_KERNELS` environment variable (`scalar` or `avx2`), which
-//! beats runtime detection. Selection is re-read on every dispatch so
-//! a forced backend applies immediately on all threads; because the
-//! backends are bit-identical, a mid-run switch is still only a
-//! performance event, never a correctness one. Under auto detection
-//! the element-wise kernels additionally stay scalar below
-//! [`SHORT_VEC_CUTOFF`] elements, where dispatch overhead eats the
-//! vector win (see the constant's docs).
-#![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which kernel implementation executes.
+/// Which kernel implementation executes. There is one: the portable
+/// loops of this module, which define the canonical semantics. Hosts
+/// that describe their kernel layer (perfbench's host line) report its
+/// [`Backend::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Portable element-at-a-time loops (the canonical semantics).
+    /// Portable safe-Rust loops.
     Scalar,
-    /// AVX2 256-bit vector loops (x86-64 only, runtime-detected).
-    Avx2,
 }
 
 impl Backend {
@@ -59,106 +45,20 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Avx2 => "avx2",
         }
     }
 }
 
-/// 0 = auto (env, then detection), 1 = force scalar, 2 = force AVX2.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides backend selection process-wide (`None` returns to auto).
-///
-/// Forcing [`Backend::Avx2`] on a host without AVX2 support falls back
-/// to scalar rather than faulting. Intended for differential tests and
-/// the kernel benchmark; production code should leave selection on
-/// auto.
-pub fn force_backend(backend: Option<Backend>) {
-    let v = match backend {
-        None => 0,
-        Some(Backend::Scalar) => 1,
-        Some(Backend::Avx2) => 2,
-    };
-    FORCED.store(v, Ordering::Relaxed);
-}
-
-/// True when the running CPU supports the AVX2 path.
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-fn env_backend() -> Option<Backend> {
-    // Read once: the selection must not change between two phases of
-    // one deterministic run because the environment mutated.
-    use std::sync::OnceLock;
-    static ENV: OnceLock<Option<Backend>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("METANMP_KERNELS") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => Some(Backend::Scalar),
-        Ok(v) if v.eq_ignore_ascii_case("avx2") => Some(Backend::Avx2),
-        _ => None,
-    })
-}
-
-/// The backend the next kernel call will dispatch to.
+/// The backend every kernel call runs.
 pub fn active_backend() -> Backend {
-    let requested = match FORCED.load(Ordering::Relaxed) {
-        1 => Some(Backend::Scalar),
-        2 => Some(Backend::Avx2),
-        _ => env_backend(),
-    };
-    match requested {
-        Some(Backend::Scalar) => Backend::Scalar,
-        Some(Backend::Avx2) if avx2_available() => Backend::Avx2,
-        Some(Backend::Avx2) => Backend::Scalar,
-        None if avx2_available() => Backend::Avx2,
-        None => Backend::Scalar,
-    }
+    Backend::Scalar
 }
 
-/// Below this element count the auto dispatcher keeps the element-wise
-/// kernels ([`dot`], [`add`], [`axpy`], [`scale`]) on the scalar path.
-///
-/// The AVX2 entry points cannot inline into their callers (a
-/// `#[target_feature]` boundary), so a short vector pays a call plus a
-/// serial horizontal reduction that the inlined, auto-vectorized scalar
-/// loop does not. Measured at the engine's 64-wide hidden dimension the
-/// AVX2 side swings from 1.45× faster to 1.4× *slower* depending on
-/// binary layout; below the cutoff the scalar path is the predictable
-/// choice. Explicit selection — [`force_backend`] or `METANMP_KERNELS`
-/// — bypasses the cutoff so differential tests still drive the AVX2
-/// path on short and odd-sized inputs. [`gemv`] and [`project_batch`]
-/// ignore the cutoff: their register-blocked panels win at every shape
-/// the engine uses.
-pub const SHORT_VEC_CUTOFF: usize = 128;
-
-/// Backend for an element-wise kernel over `len` elements: like
-/// [`active_backend`], but auto-detected AVX2 yields to scalar below
-/// [`SHORT_VEC_CUTOFF`]. Explicit selection is honored as-is.
-fn dispatch_elementwise(len: usize) -> Backend {
-    let explicit = match FORCED.load(Ordering::Relaxed) {
-        1 | 2 => true,
-        _ => env_backend().is_some(),
-    };
-    let backend = active_backend();
-    if backend == Backend::Avx2 && !explicit && len < SHORT_VEC_CUTOFF {
-        return Backend::Scalar;
-    }
-    backend
-}
-
-/// The canonical 8-lane reduction state shared by both backends.
+/// The canonical 8-lane reduction state of [`dot`].
 ///
 /// Lane `l` owns elements `8c + l` of the product stream; the tail
-/// (final partial chunk of `r` elements) feeds lanes `0..r`. Both
-/// backends finish with [`LaneAcc::combine`], a fixed scalar tree, so
-/// the reduction order is identical bit for bit.
+/// (final partial chunk of `r` elements) feeds lanes `0..r`, and
+/// [`LaneAcc::combine`] finishes with a fixed scalar tree.
 #[derive(Debug, Clone, Copy)]
 struct LaneAcc([f32; 8]);
 
@@ -186,11 +86,13 @@ impl LaneAcc {
     }
 }
 
-// ---------------------------------------------------------------------
-// Scalar backend: the canonical semantics.
-// ---------------------------------------------------------------------
-
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
+/// Dot product through the canonical 8-lane reduction.
+///
+/// # Panics
+///
+/// Panics on length mismatch.
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "length mismatch");
     let mut acc = LaneAcc::new();
     let chunks = a.len() / 8;
     for c in 0..chunks {
@@ -203,201 +105,6 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     acc.combine()
 }
 
-fn add_scalar(dst: &mut [f32], src: &[f32]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
-fn axpy_scalar(dst: &mut [f32], scale: f32, src: &[f32]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += scale * s;
-    }
-}
-
-fn scale_scalar(v: &mut [f32], scale: f32) {
-    for x in v {
-        *x *= scale;
-    }
-}
-
-/// `out[j] += x[i] * w[i*cols + j]` over ascending `i`, for the column
-/// range `j0..j0+out.len()`. `out` is *not* cleared: callers zero it
-/// (or chain accumulation over row panels).
-fn gemv_acc_scalar(w: &[f32], cols: usize, x: &[f32], j0: usize, out: &mut [f32]) {
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = &w[i * cols + j0..i * cols + j0 + out.len()];
-        for (o, &wv) in out.iter_mut().zip(row) {
-            *o += xi * wv;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// AVX2 backend (x86-64 only). Each function mirrors its scalar twin
-// exactly: same per-element operations, same reduction orders.
-// ---------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::LaneAcc;
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let chunks = a.len() / 8;
-        let mut v = _mm256_setzero_ps();
-        for c in 0..chunks {
-            let pa = _mm256_loadu_ps(a.as_ptr().add(c * 8));
-            let pb = _mm256_loadu_ps(b.as_ptr().add(c * 8));
-            // Separate mul + add keeps each lane's arithmetic identical
-            // to the scalar backend (no FMA contraction).
-            v = _mm256_add_ps(v, _mm256_mul_ps(pa, pb));
-        }
-        let mut acc = LaneAcc::new();
-        _mm256_storeu_ps(acc.0.as_mut_ptr(), v);
-        acc.tail(&a[chunks * 8..], &b[chunks * 8..]);
-        acc.combine()
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add(dst: &mut [f32], src: &[f32]) {
-        let chunks = dst.len() / 8;
-        for c in 0..chunks {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(c * 8));
-            let s = _mm256_loadu_ps(src.as_ptr().add(c * 8));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(c * 8), _mm256_add_ps(d, s));
-        }
-        super::add_scalar(&mut dst[chunks * 8..], &src[chunks * 8..]);
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(dst: &mut [f32], scale: f32, src: &[f32]) {
-        let chunks = dst.len() / 8;
-        let vs = _mm256_set1_ps(scale);
-        for c in 0..chunks {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(c * 8));
-            let s = _mm256_loadu_ps(src.as_ptr().add(c * 8));
-            _mm256_storeu_ps(
-                dst.as_mut_ptr().add(c * 8),
-                _mm256_add_ps(d, _mm256_mul_ps(vs, s)),
-            );
-        }
-        super::axpy_scalar(&mut dst[chunks * 8..], scale, &src[chunks * 8..]);
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale(v: &mut [f32], scale: f32) {
-        let chunks = v.len() / 8;
-        let vs = _mm256_set1_ps(scale);
-        for c in 0..chunks {
-            let d = _mm256_loadu_ps(v.as_ptr().add(c * 8));
-            _mm256_storeu_ps(v.as_mut_ptr().add(c * 8), _mm256_mul_ps(d, vs));
-        }
-        super::scale_scalar(&mut v[chunks * 8..], scale);
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2, `w` holds at least
-    /// `x.len()` rows of `cols` floats, and `j0 + out.len() <= cols`.
-    ///
-    /// Output columns are processed in register-resident panels (4, 2,
-    /// then 1 vector wide, then a scalar tail): each panel's
-    /// accumulators live in ymm registers across the *entire* input
-    /// loop, so `out` is loaded and stored once per panel instead of
-    /// once per input row — the naive row-sweep layout is exactly what
-    /// LLVM already auto-vectorizes in the scalar backend, and beats
-    /// nothing. Per output element the arithmetic is still one
-    /// mul + add per nonzero `x[i]` in ascending `i` order, so the
-    /// result stays bit-identical to the scalar backend.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemv_acc(w: &[f32], cols: usize, x: &[f32], j0: usize, out: &mut [f32]) {
-        let n = out.len();
-        let mut j = 0;
-        while j + 32 <= n {
-            let op = out.as_mut_ptr().add(j);
-            let mut a0 = _mm256_loadu_ps(op);
-            let mut a1 = _mm256_loadu_ps(op.add(8));
-            let mut a2 = _mm256_loadu_ps(op.add(16));
-            let mut a3 = _mm256_loadu_ps(op.add(24));
-            for (i, &xi) in x.iter().enumerate() {
-                if xi == 0.0 {
-                    continue; // mirrors the scalar skip exactly
-                }
-                let row = w.as_ptr().add(i * cols + j0 + j);
-                let vx = _mm256_set1_ps(xi);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(vx, _mm256_loadu_ps(row)));
-                a1 = _mm256_add_ps(a1, _mm256_mul_ps(vx, _mm256_loadu_ps(row.add(8))));
-                a2 = _mm256_add_ps(a2, _mm256_mul_ps(vx, _mm256_loadu_ps(row.add(16))));
-                a3 = _mm256_add_ps(a3, _mm256_mul_ps(vx, _mm256_loadu_ps(row.add(24))));
-            }
-            _mm256_storeu_ps(op, a0);
-            _mm256_storeu_ps(op.add(8), a1);
-            _mm256_storeu_ps(op.add(16), a2);
-            _mm256_storeu_ps(op.add(24), a3);
-            j += 32;
-        }
-        while j + 8 <= n {
-            let op = out.as_mut_ptr().add(j);
-            let mut a0 = _mm256_loadu_ps(op);
-            for (i, &xi) in x.iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                let row = w.as_ptr().add(i * cols + j0 + j);
-                let vx = _mm256_set1_ps(xi);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(vx, _mm256_loadu_ps(row)));
-            }
-            _mm256_storeu_ps(op, a0);
-            j += 8;
-        }
-        if j < n {
-            for (i, &xi) in x.iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                let row = &w[i * cols + j0 + j..i * cols + j0 + n];
-                for (o, &wv) in out[j..n].iter_mut().zip(row) {
-                    *o += xi * wv;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Public dispatching kernels.
-// ---------------------------------------------------------------------
-
-/// Dot product through the canonical 8-lane reduction.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_elementwise(a.len()) == Backend::Avx2 {
-        // SAFETY: dispatch verified AVX2 support at runtime.
-        return unsafe { avx2::dot(a, b) };
-    }
-    dot_scalar(a, b)
-}
-
 /// Adds `src` into `dst` element-wise.
 ///
 /// # Panics
@@ -405,13 +112,9 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Panics on length mismatch.
 pub fn add(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_elementwise(dst.len()) == Backend::Avx2 {
-        // SAFETY: dispatch verified AVX2 support at runtime.
-        unsafe { avx2::add(dst, src) };
-        return;
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
     }
-    add_scalar(dst, src);
 }
 
 /// Adds `scale × src` into `dst` element-wise.
@@ -421,30 +124,22 @@ pub fn add(dst: &mut [f32], src: &[f32]) {
 /// Panics on length mismatch.
 pub fn axpy(dst: &mut [f32], scale: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_elementwise(dst.len()) == Backend::Avx2 {
-        // SAFETY: dispatch verified AVX2 support at runtime.
-        unsafe { avx2::axpy(dst, scale, src) };
-        return;
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += scale * s;
     }
-    axpy_scalar(dst, scale, src);
 }
 
 /// Scales `v` in place.
 pub fn scale(v: &mut [f32], s: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if dispatch_elementwise(v.len()) == Backend::Avx2 {
-        // SAFETY: dispatch verified AVX2 support at runtime.
-        unsafe { avx2::scale(v, s) };
-        return;
+    for x in v {
+        *x *= s;
     }
-    scale_scalar(v, s);
 }
 
 /// Row-vector × matrix: `out = x · w` where `w` is row-major
-/// `x.len() × cols`. Vectorized across the output/column dimension, so
-/// each output element's reduction over inputs runs in ascending `i`
-/// order — identical to the scalar loop.
+/// `x.len() × cols`. Register-blocked across the output/column
+/// dimension; each output element's reduction over inputs runs in
+/// ascending `i` order, exactly as in the plain row-sweep loop.
 ///
 /// # Panics
 ///
@@ -456,16 +151,58 @@ pub fn gemv(w: &[f32], cols: usize, x: &[f32], out: &mut [f32]) {
     gemv_acc(w, cols, x, 0, out);
 }
 
-/// Accumulating column-range GEMV used by the blocked batch kernel.
+/// `out[j] += x[i] * w[i*cols + j0 + j]` over ascending `i`, skipping
+/// `x[i] == 0`, for the column range `j0..j0+out.len()`. `out` is
+/// *not* cleared: callers zero it (or chain accumulation over row
+/// panels). Columns go through 32-wide panels, then 8-wide panels,
+/// and the fewer-than-8 left over through the plain row sweep.
 fn gemv_acc(w: &[f32], cols: usize, x: &[f32], j0: usize, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if active_backend() == Backend::Avx2 {
-        // SAFETY: dispatch verified AVX2 support at runtime; shape
-        // invariants are asserted by the public callers.
-        unsafe { avx2::gemv_acc(w, cols, x, j0, out) };
-        return;
+    let (wide, rest) = out.as_chunks_mut::<32>();
+    let mut j = j0;
+    for panel in wide {
+        gemv_panel(w, cols, x, j, panel);
+        j += 32;
     }
-    gemv_acc_scalar(w, cols, x, j0, out);
+    let (narrow, tail) = rest.as_chunks_mut::<8>();
+    for panel in narrow {
+        gemv_panel(w, cols, x, j, panel);
+        j += 8;
+    }
+    if !tail.is_empty() {
+        gemv_sweep(w, cols, x, j, tail);
+    }
+}
+
+/// One register-resident panel of `W` output columns starting at `j0`:
+/// the partial sums stay in a local array for the whole input loop.
+fn gemv_panel<const W: usize>(w: &[f32], cols: usize, x: &[f32], j0: usize, out: &mut [f32; W]) {
+    let mut acc = *out;
+    for (i, &xi) in x.iter().enumerate() {
+        if xi == 0.0 {
+            continue;
+        }
+        let row = w[i * cols + j0..]
+            .first_chunk::<W>()
+            .expect("panel lies inside the weight row");
+        for (a, &wv) in acc.iter_mut().zip(row) {
+            *a += xi * wv;
+        }
+    }
+    *out = acc;
+}
+
+/// The plain row sweep over the columns `j0..j0+out.len()`: `out` is
+/// read and written once per nonzero input.
+fn gemv_sweep(w: &[f32], cols: usize, x: &[f32], j0: usize, out: &mut [f32]) {
+    for (i, &xi) in x.iter().enumerate() {
+        if xi == 0.0 {
+            continue;
+        }
+        let row = &w[i * cols + j0..i * cols + j0 + out.len()];
+        for (o, &wv) in out.iter_mut().zip(row) {
+            *o += xi * wv;
+        }
+    }
 }
 
 /// Cache-blocking geometry for [`project_batch`], expressed in the
@@ -521,7 +258,7 @@ impl Default for TileGeometry {
 /// tiles (`row_block` tall) against it, so the panel stays resident in
 /// a feature-cache-sized working set. Every output element still
 /// reduces over `i` in ascending order, so the result is bit-identical
-/// to `n` independent [`gemv`] calls — and to the legacy scalar loop.
+/// to `n` independent [`gemv`] calls — and to the plain row-sweep loop.
 ///
 /// # Panics
 ///
@@ -562,13 +299,6 @@ pub fn project_batch(
 mod tests {
     use super::*;
 
-    /// Serializes tests that flip the process-wide backend override.
-    fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn seeded(len: usize, seed: u64) -> Vec<f32> {
         // splitmix64-driven values in [-1, 1), deterministic per seed.
         let mut s = seed.wrapping_add(0x9E3779B97F4A7C15);
@@ -594,45 +324,11 @@ mod tests {
         let lanes = [1.0 + 9.0, 2.0 + 10.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let want = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
             + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
-        assert_eq!(dot_scalar(&a, &b), want);
-    }
-
-    #[test]
-    fn backends_agree_bit_for_bit() {
-        let _guard = backend_lock();
-        if !avx2_available() {
-            return;
-        }
-        for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200] {
-            let a = seeded(len, 1 + len as u64);
-            let b = seeded(len, 1000 + len as u64);
-            force_backend(Some(Backend::Scalar));
-            let ds = dot(&a, &b);
-            let mut adds = a.clone();
-            add(&mut adds, &b);
-            let mut axs = a.clone();
-            axpy(&mut axs, 0.37, &b);
-            let mut scs = a.clone();
-            scale(&mut scs, -1.75);
-            force_backend(Some(Backend::Avx2));
-            let dv = dot(&a, &b);
-            let mut addv = a.clone();
-            add(&mut addv, &b);
-            let mut axv = a.clone();
-            axpy(&mut axv, 0.37, &b);
-            let mut scv = a.clone();
-            scale(&mut scv, -1.75);
-            force_backend(None);
-            assert_eq!(ds.to_bits(), dv.to_bits(), "dot len {len}");
-            assert_eq!(adds, addv, "add len {len}");
-            assert_eq!(axs, axv, "axpy len {len}");
-            assert_eq!(scs, scv, "scale len {len}");
-        }
+        assert_eq!(dot(&a, &b), want);
     }
 
     #[test]
     fn gemv_matches_reference_loop() {
-        let _guard = backend_lock();
         let (rows, cols) = (13, 21);
         let w = seeded(rows * cols, 7);
         let x = seeded(rows, 8);
@@ -652,7 +348,6 @@ mod tests {
 
     #[test]
     fn project_batch_is_bit_identical_to_per_row_gemv() {
-        let _guard = backend_lock();
         let (n, k, m) = (17, 29, 23);
         let x = seeded(n * k, 3);
         let w = seeded(k * m, 4);
@@ -686,18 +381,5 @@ mod tests {
         // Degenerate shapes still tile.
         let tiny = TileGeometry::for_cache(64, 1, 1);
         assert!(tiny.col_block >= 8 && tiny.row_block >= 1);
-    }
-
-    #[test]
-    fn forced_backend_round_trips() {
-        let _guard = backend_lock();
-        force_backend(Some(Backend::Scalar));
-        assert_eq!(active_backend(), Backend::Scalar);
-        force_backend(None);
-        let auto = active_backend();
-        assert_eq!(
-            auto == Backend::Avx2,
-            avx2_available() && env_backend() != Some(Backend::Scalar)
-        );
     }
 }

@@ -1,27 +1,22 @@
-//! Differential tests for the SIMD kernel backends.
+//! Differential tests for the dense kernels.
 //!
-//! The AVX2 and scalar backends promise *bit-identical* results. This
-//! suite sweeps seeded shapes — empty, non-multiple-of-8, and inputs
-//! with all-zero rows (which exercise the GEMV `xi == 0` skip) — and
-//! asserts the two backends agree bit for bit on every kernel, that
-//! cache-blocking geometry never changes a projection result, and that
-//! the projection op counters are identical on both paths.
+//! Each kernel is compared bit for bit against the plainest loop that
+//! states its semantics: the row-sweep GEMV (output element `j`
+//! accumulates `x[i] * w[i][j]` over ascending `i`, skipping
+//! `x[i] == 0`), a hand-written canonical 8-lane dot product, and
+//! element-at-a-time `add`/`axpy`/`scale`. The sweep covers empty
+//! shapes, dimensions off the 8-lane grid, column counts on both sides
+//! of one and two 32-wide panels, and inputs with all-zero rows (which
+//! exercise the GEMV `x[i] == 0` skip). It also asserts
+//! that cache-blocking geometry never changes a projection result or
+//! its op counters.
 
 use std::collections::BTreeMap;
 
 use hetgraph::datasets::{generate, DatasetId, GeneratorConfig};
-use hgnn::tensor::kernels::{
-    self, avx2_available, force_backend, project_batch, Backend, TileGeometry,
-};
+use hgnn::tensor::kernels::{self, project_batch, TileGeometry};
 use hgnn::tensor::Matrix;
 use hgnn::{FeatureStore, OpCounters, Projection};
-
-/// Serializes tests that flip the process-wide backend override.
-fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// splitmix64-driven values in [-1, 1), deterministic per seed. Every
 /// fourth value is forced to exactly 0.0 so zero-skip paths run even on
@@ -44,20 +39,40 @@ fn seeded(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
-    force_backend(Some(backend));
-    let out = f();
-    force_backend(None);
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// The canonical dot product written out lane by lane: element `i` of
+/// each full chunk of eight goes to lane `i % 8`, element `j` of the
+/// final partial chunk to lane `j`, and the lanes combine as
+/// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`.
+fn dot_reference(a: &[f32], b: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        lanes[i % 8] += x * y;
+    }
+    ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
+        + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]))
+}
+
+/// The row-sweep GEMV over row-major `x.len() × cols` weights: `out`
+/// is read and written once per nonzero input.
+fn gemv_reference(w: &[f32], cols: usize, x: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; cols];
+    for (i, &xi) in x.iter().enumerate() {
+        if xi == 0.0 {
+            continue;
+        }
+        for (o, &wv) in out.iter_mut().zip(&w[i * cols..(i + 1) * cols]) {
+            *o += xi * wv;
+        }
+    }
     out
 }
 
 #[test]
 fn elementwise_kernels_agree_across_shape_sweep() {
-    let _guard = backend_lock();
-    if !avx2_available() {
-        eprintln!("skipping: host has no AVX2");
-        return;
-    }
     for len in [
         0usize, 1, 2, 5, 7, 8, 9, 12, 15, 16, 17, 31, 33, 63, 65, 100, 127, 128, 129, 257,
     ] {
@@ -66,26 +81,35 @@ fn elementwise_kernels_agree_across_shape_sweep() {
             let b = seeded(len, seed.wrapping_mul(67) + 9000 + len as u64);
             let zeros = vec![0.0f32; len];
             for (x, y) in [(&a, &b), (&a, &zeros), (&zeros, &b), (&zeros, &zeros)] {
-                let (ds, dv) = (
-                    with_backend(Backend::Scalar, || kernels::dot(x, y)),
-                    with_backend(Backend::Avx2, || kernels::dot(x, y)),
+                assert_eq!(
+                    kernels::dot(x, y).to_bits(),
+                    dot_reference(x, y).to_bits(),
+                    "dot len={len} seed={seed}"
                 );
-                assert_eq!(ds.to_bits(), dv.to_bits(), "dot len={len} seed={seed}");
 
-                let run = |be: Backend| {
-                    with_backend(be, || {
-                        let mut add_out = x.clone();
-                        kernels::add(&mut add_out, y);
-                        let mut axpy_out = x.clone();
-                        kernels::axpy(&mut axpy_out, 0.73, y);
-                        let mut scale_out = x.clone();
-                        kernels::scale(&mut scale_out, -2.5);
-                        (add_out, axpy_out, scale_out)
-                    })
-                };
-                let s = run(Backend::Scalar);
-                let v = run(Backend::Avx2);
-                assert_eq!(s, v, "elementwise len={len} seed={seed}");
+                let mut add_out = x.clone();
+                kernels::add(&mut add_out, y);
+                let add_want: Vec<f32> = x.iter().zip(y.iter()).map(|(p, q)| p + q).collect();
+                assert_eq!(bits(&add_out), bits(&add_want), "add len={len} seed={seed}");
+
+                let mut axpy_out = x.clone();
+                kernels::axpy(&mut axpy_out, 0.73, y);
+                let axpy_want: Vec<f32> =
+                    x.iter().zip(y.iter()).map(|(p, q)| p + 0.73 * q).collect();
+                assert_eq!(
+                    bits(&axpy_out),
+                    bits(&axpy_want),
+                    "axpy len={len} seed={seed}"
+                );
+
+                let mut scale_out = x.clone();
+                kernels::scale(&mut scale_out, -2.5);
+                let scale_want: Vec<f32> = x.iter().map(|p| p * -2.5).collect();
+                assert_eq!(
+                    bits(&scale_out),
+                    bits(&scale_want),
+                    "scale len={len} seed={seed}"
+                );
             }
         }
     }
@@ -93,13 +117,9 @@ fn elementwise_kernels_agree_across_shape_sweep() {
 
 #[test]
 fn gemv_and_project_batch_agree_across_shape_sweep() {
-    let _guard = backend_lock();
-    if !avx2_available() {
-        eprintln!("skipping: host has no AVX2");
-        return;
-    }
     // (rows n, raw dim k, hidden dim m): empty batches, dims off the
-    // 8-lane grid, and shapes wide enough to hit the 32-wide panel.
+    // 8-lane grid, and column counts on both sides of one and two
+    // 32-wide panels.
     for (n, k, m) in [
         (0usize, 5usize, 7usize),
         (1, 1, 1),
@@ -109,6 +129,12 @@ fn gemv_and_project_batch_agree_across_shape_sweep() {
         (7, 16, 40),
         (9, 31, 65),
         (16, 64, 64),
+        (6, 19, 31),
+        (6, 19, 32),
+        (6, 19, 33),
+        (5, 23, 63),
+        (5, 23, 64),
+        (5, 23, 65),
     ] {
         let x = {
             let mut x = seeded(n * k, (n * 1000 + k) as u64);
@@ -120,6 +146,9 @@ fn gemv_and_project_batch_agree_across_shape_sweep() {
             x
         };
         let w = seeded(k * m, (k * 1000 + m) as u64);
+        let want: Vec<f32> = (0..n)
+            .flat_map(|r| gemv_reference(&w, m, &x[r * k..(r + 1) * k]))
+            .collect();
         for tiles in [
             TileGeometry::default(),
             TileGeometry {
@@ -130,52 +159,43 @@ fn gemv_and_project_batch_agree_across_shape_sweep() {
                 row_block: 2,
                 col_block: 16,
             },
+            TileGeometry {
+                row_block: 3,
+                col_block: 40,
+            },
         ] {
-            let run = |be: Backend| {
-                with_backend(be, || {
-                    let mut out = vec![0.0f32; n * m];
-                    project_batch(&x, n, k, &w, m, &mut out, tiles);
-                    out
-                })
-            };
-            let s = run(Backend::Scalar);
-            let v = run(Backend::Avx2);
+            let mut out = vec![0.0f32; n * m];
+            project_batch(&x, n, k, &w, m, &mut out, tiles);
             assert_eq!(
-                s.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                v.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                bits(&out),
+                bits(&want),
                 "project_batch n={n} k={k} m={m} tiles={tiles:?}"
             );
         }
-        if n > 0 {
-            let run = |be: Backend| {
-                with_backend(be, || {
-                    let mut out = vec![0.0f32; m];
-                    kernels::gemv(&w, m, &x[..k], &mut out);
-                    out
-                })
-            };
-            assert_eq!(run(Backend::Scalar), run(Backend::Avx2), "gemv k={k} m={m}");
+        for r in 0..n {
+            let mut out = vec![0.0f32; m];
+            kernels::gemv(&w, m, &x[r * k..(r + 1) * k], &mut out);
+            assert_eq!(
+                bits(&out),
+                bits(&want[r * m..(r + 1) * m]),
+                "gemv row={r} k={k} m={m}"
+            );
         }
     }
 }
 
 #[test]
 fn projection_op_counts_and_outputs_are_invariant() {
-    let _guard = backend_lock();
     let dataset = generate(DatasetId::Imdb, GeneratorConfig::at_scale(0.02));
     let graph = &dataset.graph;
     let fs = FeatureStore::random(graph, 11);
     let proj = Projection::random(graph, 16, 13);
 
-    // Reference: scalar backend, default (row-at-a-time-equivalent)
-    // geometry.
-    let (ref_counters, ref_hidden) = with_backend(Backend::Scalar, || {
-        let mut c = OpCounters::default();
-        let h = proj.project(graph, &fs, &mut c).unwrap();
-        (c, h)
-    });
+    // Reference: the default (row-at-a-time-equivalent) geometry.
+    let mut ref_counters = OpCounters::default();
+    let ref_hidden = proj.project(graph, &fs, &mut ref_counters).unwrap();
 
-    let geometries = [
+    for tiles in [
         TileGeometry::default(),
         TileGeometry {
             row_block: 1,
@@ -186,31 +206,18 @@ fn projection_op_counts_and_outputs_are_invariant() {
             col_block: 16,
         },
         TileGeometry::for_cache(256 * 1024, 64, 16),
-    ];
-    let mut backends = vec![Backend::Scalar];
-    if avx2_available() {
-        backends.push(Backend::Avx2);
-    }
-    for be in backends {
-        for tiles in geometries {
-            let (c, h) = with_backend(be, || {
-                let mut c = OpCounters::default();
-                let h = proj.project_with_tiles(graph, &fs, &mut c, tiles).unwrap();
-                (c, h)
-            });
-            // The cost model is shape-derived: blocked/vectorized
-            // execution must report exactly the scalar path's counts.
-            assert_eq!(c.flops, ref_counters.flops, "{be:?} {tiles:?}");
-            assert_eq!(c.bytes_read, ref_counters.bytes_read, "{be:?} {tiles:?}");
-            assert_eq!(
-                c.bytes_written, ref_counters.bytes_written,
-                "{be:?} {tiles:?}"
-            );
-            for (ty, _) in graph.schema().vertex_types() {
-                let got: &Matrix = h.matrix(ty).unwrap();
-                let want: &Matrix = ref_hidden.matrix(ty).unwrap();
-                assert_eq!(got.max_abs_diff(want), 0.0, "{be:?} {tiles:?}");
-            }
+    ] {
+        let mut c = OpCounters::default();
+        let h = proj.project_with_tiles(graph, &fs, &mut c, tiles).unwrap();
+        // The cost model is shape-derived: blocked execution must
+        // report exactly the reference counts.
+        assert_eq!(c.flops, ref_counters.flops, "{tiles:?}");
+        assert_eq!(c.bytes_read, ref_counters.bytes_read, "{tiles:?}");
+        assert_eq!(c.bytes_written, ref_counters.bytes_written, "{tiles:?}");
+        for (ty, _) in graph.schema().vertex_types() {
+            let got: &Matrix = h.matrix(ty).unwrap();
+            let want: &Matrix = ref_hidden.matrix(ty).unwrap();
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{tiles:?}");
         }
     }
 

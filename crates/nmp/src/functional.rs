@@ -514,10 +514,6 @@ pub struct ResumableRun {
     current: Option<Matrix>,
     mp_index: usize,
     next_start: u32,
-    /// True when the run was rebuilt from a snapshot: the audit
-    /// layer's instance-conservation check only applies to runs that
-    /// visited every start vertex in this process.
-    resumed: bool,
 }
 
 impl ResumableRun {
@@ -548,7 +544,6 @@ impl ResumableRun {
             current: None,
             mp_index: 0,
             next_start: 0,
-            resumed: false,
         }
     }
 
@@ -810,7 +805,6 @@ impl ResumableRun {
             current: _,
             mp_index: _,
             next_start: _,
-            resumed,
         } = self;
         let d = cfg.hidden_dim;
         let vb = cfg.vector_bytes();
@@ -965,11 +959,11 @@ impl ResumableRun {
         // ---- Audit: protocol + conservation verdict. The drained
         // memory system checks its own invariants; on top of that,
         // instance counts must match the combinatorial closed form
-        // from type-separated degree products — unless the run resumed
-        // mid-stream, when no closed form covers what this process
-        // generated.
+        // from type-separated degree products. A resumed run restored
+        // the pre-snapshot counts with the rest of its state, so the
+        // whole-graph closed form applies to it too.
         let mut audit = mem.audit_report(true);
-        if audit.enabled && !resumed {
+        if audit.enabled {
             let mut closed_form: u128 = 0;
             for mp in metapaths {
                 match hetgraph::instances::count_instances(graph, mp) {
@@ -1089,9 +1083,6 @@ impl checkpoint::Restore for ResumableRun {
             ));
         }
         checkpoint::Restore::restore(&mut self.mem, &state.mem)?;
-        // This process did not see the pre-snapshot visits, so the
-        // whole-graph instance closed form no longer applies.
-        self.resumed = true;
         match (self.injector.as_mut(), state.injector.as_ref()) {
             (Some(inj), Some(is)) => checkpoint::Restore::restore(inj, is)?,
             (None, None) => {}
@@ -1280,9 +1271,9 @@ mod tests {
     #[cfg(feature = "audit")]
     #[test]
     fn audit_skips_instance_closed_form_on_resumed_runs() {
-        // A resumed run did not generate the pre-snapshot instances in
-        // this process, so the audit layer skips the whole-graph closed
-        // form instead of judging what it did not see.
+        // Despite the name, the closed form is checked here: a resumed
+        // run restores the pre-snapshot instance counts, so a clean run
+        // audits clean across the snapshot boundary.
         let (ds, h) = setup(0.02, 16);
         let mut run = ResumableRun::new(nmp_config(16));
         let done = run
@@ -1295,6 +1286,33 @@ mod tests {
             .unwrap();
         let audit = run.finish(&ds.graph, &ds.metapaths).unwrap().report.audit;
         assert!(audit.is_clean(), "{}", audit.summary());
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    fn audit_checks_instance_closed_form_on_resumed_runs() {
+        // A snapshot whose instance count disagrees with the graph
+        // must fail the closed-form check after resuming.
+        let (ds, h) = setup(0.02, 16);
+        let mut run = ResumableRun::new(nmp_config(16));
+        let done = run
+            .step(&ds.graph, &h, ModelKind::Magnn, &ds.metapaths, 50)
+            .unwrap();
+        assert!(!done);
+        let mut state = checkpoint::Snapshot::snapshot(&run);
+        state.counts.instances += 1;
+        let mut run = ResumableRun::from_state(&state).unwrap();
+        run.step(&ds.graph, &h, ModelKind::Magnn, &ds.metapaths, u64::MAX)
+            .unwrap();
+        let audit = run.finish(&ds.graph, &ds.metapaths).unwrap().report.audit;
+        assert!(
+            audit
+                .violations
+                .iter()
+                .any(|v| v.constraint == dramsim::Constraint::Instances),
+            "{}",
+            audit.summary()
+        );
     }
 
     #[cfg(feature = "audit")]

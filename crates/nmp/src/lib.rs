@@ -75,8 +75,8 @@ pub use config::NmpConfig;
 pub use error::NmpError;
 pub use estimate::{calibrate_rank_local, estimate, RankCalibration};
 pub use functional::{FunctionalRun, FunctionalSim, ResumableRun};
-/// The SIMD/cache-blocked kernel layer every rank-AU combine path runs
-/// on, re-exported so NMP-side callers need not depend on `hgnn`
+/// The register- and cache-blocked kernel layer every rank-AU combine
+/// path runs on, re-exported so NMP-side callers need not depend on `hgnn`
 /// internals directly.
 pub use hgnn::tensor::kernels;
 pub use power::AreaPowerModel;
