@@ -8,10 +8,10 @@ use hetgraph::datasets::DatasetId;
 use hgnn::ModelKind;
 use nmp::{estimate, CommPolicy, NmpConfig};
 
-use crate::common::{analysis_dataset, fmt_x, Ctx, ExpError, ExpResult, ResultExt, TableWriter};
+use crate::common::{fmt_x, Ctx, ExpError, ExpResult, ResultExt, TableWriter};
 
 /// Runs the ablation table: one column per disabled mechanism.
-pub fn ablations(_cx: &Ctx) -> ExpResult {
+pub fn ablations(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "ablations",
         "Design-choice ablations (slowdown vs the full design)",
@@ -30,7 +30,7 @@ pub fn ablations(_cx: &Ctx) -> ExpResult {
         ..NmpConfig::default()
     };
     for id in [DatasetId::Dblp, DatasetId::Imdb, DatasetId::Lastfm] {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         let run = |cfg: &NmpConfig| -> Result<f64, ExpError> {
             Ok(estimate(&ds.graph, ModelKind::Magnn, &ds.metapaths, cfg)
                 .ctx("ablations: estimate")?

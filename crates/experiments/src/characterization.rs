@@ -9,14 +9,17 @@ use hgnn::engine::{InferenceEngine, MaterializedEngine};
 use hgnn::{FeatureStore, ModelConfig, ModelKind, Phase, PhaseBreakdown};
 
 use crate::common::{
-    analysis_dataset, execution_dataset, fmt_f, fmt_pct, fmt_x, Ctx, ExpError, ExpResult,
-    ResultExt, TableWriter, EXEC_BUDGET,
+    fmt_f, fmt_pct, fmt_x, Ctx, ExpError, ExpResult, ResultExt, TableWriter, EXEC_BUDGET,
 };
 
 const SMALL: [DatasetId; 3] = [DatasetId::Dblp, DatasetId::Imdb, DatasetId::Lastfm];
 
-fn naive_profile(id: DatasetId, kind: ModelKind) -> Result<hgnn::WorkloadProfile, ExpError> {
-    let ds = execution_dataset(id, EXEC_BUDGET);
+fn naive_profile(
+    cx: &Ctx,
+    id: DatasetId,
+    kind: ModelKind,
+) -> Result<hgnn::WorkloadProfile, ExpError> {
+    let ds = cx.execution_dataset(id, EXEC_BUDGET);
     let features = FeatureStore::random(&ds.graph, 0x5EED);
     let config = ModelConfig::new(kind)
         .with_hidden_dim(64)
@@ -29,7 +32,7 @@ fn naive_profile(id: DatasetId, kind: ModelKind) -> Result<hgnn::WorkloadProfile
 
 /// Figure 3a: matching time vs total inference time; Figure 3b:
 /// roofline placement of the matching phase on the CPU.
-pub fn fig3(_cx: &Ctx) -> ExpResult {
+pub fn fig3(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "fig3_matching",
         "Figure 3a — metapath instance matching vs inference time (MAGNN)",
@@ -43,7 +46,7 @@ pub fn fig3(_cx: &Ctx) -> ExpResult {
     let cpu_roof = Roofline::new(spec::CPU.peak_flops, spec::CPU.peak_bw);
     let mut roof_rows = Vec::new();
     for id in SMALL {
-        let profile = naive_profile(id, ModelKind::Magnn)?;
+        let profile = naive_profile(cx, id, ModelKind::Magnn)?;
         // Matching through the framework pre-processing pass (what the
         // paper measures in Figure 3); inference phases on the GPU
         // roofline.
@@ -100,7 +103,7 @@ pub fn fig3(_cx: &Ctx) -> ExpResult {
 
 /// Figure 4a: inference time breakdown; Figure 4b: roofline of the
 /// inference phases on the GPU.
-pub fn fig4(_cx: &Ctx) -> ExpResult {
+pub fn fig4(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "fig4_breakdown",
         "Figure 4a — inference time breakdown (GPU roofline weights)",
@@ -111,7 +114,7 @@ pub fn fig4(_cx: &Ctx) -> ExpResult {
     let mut roofline_rows = Vec::new();
     for id in SMALL {
         for kind in ModelKind::ALL {
-            let profile = naive_profile(id, kind)?;
+            let profile = naive_profile(cx, id, kind)?;
             let b = PhaseBreakdown::from_profile(&profile, spec::GPU.peak_flops, spec::GPU.peak_bw);
             structural_shares.push(b.structural_share());
             t.row(vec![
@@ -159,7 +162,7 @@ pub fn fig4(_cx: &Ctx) -> ExpResult {
 
 /// Figure 5: ratio of redundant computation among metapath instances
 /// (MAGNN), computed in closed form at analysis scale.
-pub fn fig5(_cx: &Ctx) -> ExpResult {
+pub fn fig5(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "fig5_redundancy",
         "Figure 5 — redundant computation ratio in MAGNN",
@@ -172,7 +175,7 @@ pub fn fig5(_cx: &Ctx) -> ExpResult {
     );
     let mut ratios = Vec::new();
     for id in DatasetId::ALL {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         for mp in &ds.metapaths {
             let stats = reuse_stats(&ds.graph, mp).ctx("fig5: reuse stats on preset metapath")?;
             if stats.instances == 0 {

@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 use hetgraph::datasets::{generate, Dataset, DatasetId, GeneratorConfig};
 use hetgraph::instances::count_instances;
@@ -20,20 +21,22 @@ pub fn analysis_scale(id: DatasetId) -> f64 {
     }
 }
 
-/// Returns a dataset for counting-only analyses.
-pub fn analysis_dataset(id: DatasetId) -> Dataset {
-    generate(id, GeneratorConfig::at_scale(analysis_scale(id)))
+/// Builds one preset at `scale` under a `hetgraph.generate` span, so a
+/// run's phases show what graph construction cost.
+fn build(id: DatasetId, scale: f64) -> Dataset {
+    let _span = obs::span("hetgraph.generate", "hetgraph");
+    generate(id, GeneratorConfig::at_scale(scale))
 }
 
-/// Returns a dataset scaled until its total instance count (over all
-/// metapaths) fits the execution budget, so the instrumented software
-/// engines can run it. Returns the dataset and the chosen scale.
-pub fn execution_dataset(id: DatasetId, instance_budget: u128) -> Dataset {
+/// Walks the execution scale ladder from the largest rung down and
+/// returns the first dataset whose total instance count (over all
+/// metapaths) fits `instance_budget`, or the smallest rung.
+fn walk_ladder(id: DatasetId, instance_budget: u128) -> Dataset {
     const LADDER: [f64; 13] = [
         0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0002, 1e-4, 5e-5, 2e-5, 1e-5,
     ];
     for &scale in &LADDER {
-        let ds = generate(id, GeneratorConfig::at_scale(scale));
+        let ds = build(id, scale);
         let total: u128 = ds
             .metapaths
             .iter()
@@ -43,7 +46,7 @@ pub fn execution_dataset(id: DatasetId, instance_budget: u128) -> Dataset {
             return ds;
         }
     }
-    generate(id, GeneratorConfig::at_scale(LADDER[LADDER.len() - 1]))
+    build(id, LADDER[LADDER.len() - 1])
 }
 
 /// Default per-dataset instance budget for engine execution.
@@ -101,7 +104,6 @@ pub struct SweepOptions {
 }
 
 /// Per-invocation context threaded through every experiment.
-#[derive(Debug, Clone)]
 pub struct Ctx {
     /// Seed from `--seed`, consumed by seeded experiments — notably the
     /// deterministic fault schedule of the `faults` sweep.
@@ -113,6 +115,69 @@ pub struct Ctx {
     /// the cell-level worker pool; everything else inherits it through
     /// [`dramsim::parallel::set_threads`]. Results never depend on it.
     pub jobs: usize,
+    /// The datasets built so far, shared by every experiment of the
+    /// invocation.
+    datasets: DatasetMemo,
+}
+
+impl Ctx {
+    /// A context that has built no dataset yet.
+    pub fn new(seed: u64, sweep: Option<SweepOptions>, jobs: usize) -> Self {
+        Ctx {
+            seed,
+            sweep,
+            jobs,
+            datasets: DatasetMemo::default(),
+        }
+    }
+
+    /// Returns the dataset for counting-only analyses at
+    /// [`analysis_scale`], built on first use and shared afterwards.
+    pub fn analysis_dataset(&self, id: DatasetId) -> Arc<Dataset> {
+        self.datasets
+            .get(DatasetKey::Analysis(id), || build(id, analysis_scale(id)))
+    }
+
+    /// Returns `id` at the largest ladder scale whose total instance
+    /// count (over all metapaths) fits the execution budget, so the
+    /// instrumented software engines can run it. The ladder is walked
+    /// once per `(id, instance_budget)` and the result shared.
+    pub fn execution_dataset(&self, id: DatasetId, instance_budget: u128) -> Arc<Dataset> {
+        self.datasets
+            .get(DatasetKey::Execution(id, instance_budget), || {
+                walk_ladder(id, instance_budget)
+            })
+    }
+}
+
+/// What a memoized dataset was built for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum DatasetKey {
+    Analysis(DatasetId),
+    Execution(DatasetId, u128),
+}
+
+/// The datasets one invocation has built. Generation is deterministic,
+/// so handing out a built graph again cannot change a result; the memo
+/// lives and dies with its [`Ctx`], so nothing is process-global.
+#[derive(Default)]
+struct DatasetMemo(Mutex<Vec<(DatasetKey, Arc<Dataset>)>>);
+
+impl DatasetMemo {
+    /// The dataset under `key`, from `make` if none is built yet. The
+    /// lock is held while building, so concurrent callers build once.
+    fn get(&self, key: DatasetKey, make: impl FnOnce() -> Dataset) -> Arc<Dataset> {
+        let mut built = self
+            .0
+            .lock()
+            .expect("a dataset build panicked while holding the memo");
+        if let Some((_, ds)) = built.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(ds);
+        }
+        let ds = Arc::new(make());
+        built.push((key, Arc::clone(&ds)));
+        ds
+    }
 }
 
 /// Resolves a `--jobs` value to a concrete worker count: `0` ("auto")
@@ -273,4 +338,52 @@ pub fn fmt_x(v: f64) -> String {
 /// Formats a fraction as a percentage.
 pub fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_memo_hands_out_one_build_per_key() {
+        let cx = Ctx::new(42, None, 1);
+        let a = cx.analysis_dataset(DatasetId::Imdb);
+        assert!(Arc::ptr_eq(&a, &cx.analysis_dataset(DatasetId::Imdb)));
+        let e = cx.execution_dataset(DatasetId::Imdb, EXEC_BUDGET);
+        assert!(Arc::ptr_eq(
+            &e,
+            &cx.execution_dataset(DatasetId::Imdb, EXEC_BUDGET)
+        ));
+        assert!(!Arc::ptr_eq(&a, &e));
+        // A fresh context builds its own.
+        let other = Ctx::new(42, None, 1);
+        assert!(!Arc::ptr_eq(&a, &other.analysis_dataset(DatasetId::Imdb)));
+    }
+
+    #[test]
+    fn the_memoized_ladder_picks_the_uncached_scale() {
+        let uncached = |budget: u128| {
+            [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
+                .into_iter()
+                .find(|&scale| {
+                    let ds = generate(DatasetId::Imdb, GeneratorConfig::at_scale(scale));
+                    let total: u128 = ds
+                        .metapaths
+                        .iter()
+                        .map(|mp| count_instances(&ds.graph, mp).unwrap())
+                        .sum();
+                    total <= budget
+                })
+                .expect("IMDB fits the budget within the first rungs")
+        };
+        let cx = Ctx::new(42, None, 1);
+        // The small budget walks past several rungs; each budget is a
+        // key of its own.
+        let picks = [5_000, EXEC_BUDGET].map(|budget| {
+            let scale = uncached(budget);
+            assert_eq!(cx.execution_dataset(DatasetId::Imdb, budget).scale, scale);
+            scale
+        });
+        assert!(picks[0] < picks[1], "{picks:?}");
+    }
 }

@@ -5,13 +5,11 @@ use hetgraph::datasets::DatasetId;
 use hetgraph::instances::count_instances;
 use hetgraph::stats::summarize;
 
-use crate::common::{
-    analysis_dataset, analysis_scale, fmt_f, fmt_pct, Ctx, ExpResult, ResultExt, TableWriter,
-};
+use crate::common::{analysis_scale, fmt_f, fmt_pct, Ctx, ExpResult, ResultExt, TableWriter};
 
 /// Prints vertex/edge/metapath statistics per dataset (Table 3) plus
 /// degree-skew indicators per relation.
-pub fn table3(_cx: &Ctx) -> ExpResult {
+pub fn table3(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "table3_datasets",
         "Table 3 — generated dataset statistics",
@@ -25,7 +23,7 @@ pub fn table3(_cx: &Ctx) -> ExpResult {
         ],
     );
     for id in DatasetId::ALL {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         let instances: u128 = ds
             .metapaths
             .iter()
@@ -59,7 +57,7 @@ pub fn table3(_cx: &Ctx) -> ExpResult {
         ],
     );
     for id in [DatasetId::Dblp, DatasetId::Imdb, DatasetId::Lastfm] {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         for (src, dst, s) in summarize(&ds.graph).ctx("table3: degree summary on preset")? {
             let schema = ds.graph.schema();
             let name = format!(

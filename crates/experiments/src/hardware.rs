@@ -7,9 +7,7 @@ use hetgraph::datasets::DatasetId;
 use hgnn::ModelKind;
 use nmp::{estimate, AreaPowerModel, CommPolicy, NmpConfig};
 
-use crate::common::{
-    analysis_dataset, fmt_f, fmt_pct, fmt_x, Ctx, ExpError, ExpResult, ResultExt, TableWriter,
-};
+use crate::common::{fmt_f, fmt_pct, fmt_x, Ctx, ExpError, ExpResult, ResultExt, TableWriter};
 
 fn cfg() -> NmpConfig {
     NmpConfig {
@@ -20,7 +18,7 @@ fn cfg() -> NmpConfig {
 
 /// Figure 15: MetaNMP with the broadcast mechanism vs naive
 /// point-to-point communication.
-pub fn fig15(_cx: &Ctx) -> ExpResult {
+pub fn fig15(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "fig15_broadcast",
         "Figure 15 — broadcast vs naive communication",
@@ -33,7 +31,7 @@ pub fn fig15(_cx: &Ctx) -> ExpResult {
     );
     let mut speedups = Vec::new();
     for id in DatasetId::ALL {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         let broadcast = estimate(&ds.graph, ModelKind::Magnn, &ds.metapaths, &cfg())
             .ctx("fig15: broadcast estimate")?;
         let naive = estimate(
@@ -63,14 +61,14 @@ pub fn fig15(_cx: &Ctx) -> ExpResult {
 
 /// Figure 16: scalability with the number of DIMMs, single channel vs
 /// multi-channel.
-pub fn fig16(_cx: &Ctx) -> ExpResult {
+pub fn fig16(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "fig16_dimms",
         "Figure 16 — scalability with #DIMMs (normalized to 2 DIMMs)",
         &["Workload", "#DIMMs", "Single-channel", "Multi-channel"],
     );
     for id in [DatasetId::OgbMag, DatasetId::Oag] {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         let run = |channels: usize, dpc: usize| -> Result<f64, ExpError> {
             let c = NmpConfig {
                 dram: DramConfig {
@@ -107,14 +105,14 @@ pub fn fig16(_cx: &Ctx) -> ExpResult {
 }
 
 /// Figure 17: scalability with the number of ranks per DIMM.
-pub fn fig17(_cx: &Ctx) -> ExpResult {
+pub fn fig17(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "fig17_ranks",
         "Figure 17 — scalability with #ranks (normalized to 1 rank)",
         &["Workload", "1 rank", "2 ranks", "4 ranks"],
     );
     for id in [DatasetId::Dblp, DatasetId::Lastfm, DatasetId::OgbMag] {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         let run = |ranks: usize| -> Result<f64, ExpError> {
             let c = NmpConfig {
                 dram: DramConfig {
@@ -142,7 +140,7 @@ pub fn fig17(_cx: &Ctx) -> ExpResult {
 
 /// Figure 18: bus energy under naive vs broadcast communication, and
 /// its share of the whole NMP DIMM system.
-pub fn fig18(_cx: &Ctx) -> ExpResult {
+pub fn fig18(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "fig18_bus_energy",
         "Figure 18 — bus energy: naive vs broadcast communication",
@@ -157,7 +155,7 @@ pub fn fig18(_cx: &Ctx) -> ExpResult {
     let mut ratios = Vec::new();
     let mut shares = Vec::new();
     for id in DatasetId::ALL {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         let b = estimate(&ds.graph, ModelKind::Magnn, &ds.metapaths, &cfg())
             .ctx("fig18: broadcast estimate")?;
         let n = estimate(

@@ -225,11 +225,7 @@ fn main() -> ExitCode {
     // (DRAM channels, DIMM-level instance generation); the sweep runner
     // additionally uses it for its cell-level worker pool.
     dramsim::parallel::set_threads(jobs);
-    let cx = Ctx {
-        seed,
-        sweep: sweep_opts,
-        jobs,
-    };
+    let cx = Ctx::new(seed, sweep_opts, jobs);
 
     // One-shot grid mode: print the shard list and exit.
     if let Some(exp) = &grid_exp {
@@ -258,6 +254,7 @@ fn main() -> ExitCode {
     }
     let run = |name: &str, f: fn(&Ctx) -> ExpResult| -> Result<(), ExitCode> {
         banner(name);
+        let _span = obs::span(format!("experiments.{name}"), "experiments");
         f(&cx).map_err(|e| match e {
             ExpError::Interrupted { dir } => {
                 eprintln!(

@@ -6,12 +6,11 @@ use hetgraph::instances::{instance_memory, InstanceStorage};
 use metanmp::memory_reductions;
 
 use crate::common::{
-    analysis_dataset, analysis_scale, fmt_bytes, fmt_pct, fmt_x, Ctx, ExpResult, ResultExt,
-    TableWriter,
+    analysis_scale, fmt_bytes, fmt_pct, fmt_x, Ctx, ExpResult, ResultExt, TableWriter,
 };
 
 /// Table 1: memory for graph data vs materialized metapath instances.
-pub fn table1(_cx: &Ctx) -> ExpResult {
+pub fn table1(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "table1_memory",
         "Table 1 — graph data vs metapath-instance memory",
@@ -19,7 +18,7 @@ pub fn table1(_cx: &Ctx) -> ExpResult {
     );
     let mut ratios = Vec::new();
     for id in DatasetId::ALL {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         let graph_bytes = (ds.graph.topology_bytes() + ds.graph.raw_feature_bytes()) as u128;
         let mut inst_bytes: u128 = 0;
         for mp in &ds.metapaths {
@@ -49,7 +48,7 @@ pub fn table1(_cx: &Ctx) -> ExpResult {
 
 /// Table 4: memory-consumption reduction of MetaNMP per
 /// dataset-metapath and model.
-pub fn table4(_cx: &Ctx) -> ExpResult {
+pub fn table4(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "table4_reduction",
         "Table 4 — memory reduction ratio of MetaNMP",
@@ -57,7 +56,7 @@ pub fn table4(_cx: &Ctx) -> ExpResult {
     );
     let mut all = Vec::new();
     for id in DatasetId::ALL {
-        let ds = analysis_dataset(id);
+        let ds = cx.analysis_dataset(id);
         let rows = memory_reductions(&ds, 64, 8).ctx("table4: memory reductions on preset")?;
         for (name, vals) in rows {
             all.extend_from_slice(&vals);

@@ -9,10 +9,7 @@ use hgnn::{FeatureStore, ModelConfig, ModelKind};
 use metanmp::compare;
 use nmp::{estimate, NmpConfig};
 
-use crate::common::{
-    analysis_dataset, execution_dataset, fmt_x, Ctx, ExpError, ExpResult, ResultExt, TableWriter,
-    EXEC_BUDGET,
-};
+use crate::common::{fmt_x, Ctx, ExpError, ExpResult, ResultExt, TableWriter, EXEC_BUDGET};
 
 /// The GPU materializes instances in per-start-vertex batches; its
 /// working set is the graph, the features, and the largest batch with
@@ -39,7 +36,7 @@ fn nmp_config() -> NmpConfig {
 
 /// Figures 12 and 13, computed together: speedup and energy efficiency
 /// of MetaNMP vs CPU, GPU, AWB-GCN, HyGCN, RecNMP (normalized to CPU).
-pub fn fig12_13(_cx: &Ctx) -> ExpResult {
+pub fn fig12_13(cx: &Ctx) -> ExpResult {
     let mut speed = TableWriter::new(
         "fig12_speedup",
         "Figure 12 — speedup over the CPU baseline",
@@ -59,8 +56,8 @@ pub fn fig12_13(_cx: &Ctx) -> ExpResult {
     let mut metanmp_energy = Vec::new();
     let cfg = nmp_config();
     for id in DatasetId::ALL {
-        let footprint = gpu_working_set(&analysis_dataset(id))?;
-        let ds = execution_dataset(id, EXEC_BUDGET);
+        let footprint = gpu_working_set(&cx.analysis_dataset(id))?;
+        let ds = cx.execution_dataset(id, EXEC_BUDGET);
         for kind in ModelKind::ALL {
             let c = compare(&ds, kind, 64, &cfg, Some(footprint))
                 .ctx("fig12/13: platform comparison on preset")?;
@@ -124,7 +121,7 @@ pub fn fig12_13(_cx: &Ctx) -> ExpResult {
 
 /// Figure 14: SoftwareOnly vs MetaNMP-w/o-NMPAggr vs full MetaNMP,
 /// normalized to the naive CPU.
-pub fn fig14(_cx: &Ctx) -> ExpResult {
+pub fn fig14(cx: &Ctx) -> ExpResult {
     let mut t = TableWriter::new(
         "fig14_ablation",
         "Figure 14 — software/hardware configurations (speedup vs naive CPU)",
@@ -141,7 +138,7 @@ pub fn fig14(_cx: &Ctx) -> ExpResult {
     let mut wo = Vec::new();
     let mut full_v = Vec::new();
     for id in [DatasetId::Dblp, DatasetId::Imdb, DatasetId::Lastfm] {
-        let ds = execution_dataset(id, EXEC_BUDGET);
+        let ds = cx.execution_dataset(id, EXEC_BUDGET);
         for kind in ModelKind::ALL {
             let features = FeatureStore::random(&ds.graph, 0x5EED);
             let mc = ModelConfig::new(kind)

@@ -557,11 +557,7 @@ mod tests {
 
     #[test]
     fn overload_cell_hashes_distinguish_points() {
-        let cx = Ctx {
-            seed: 42,
-            sweep: None,
-            jobs: 1,
-        };
+        let cx = Ctx::new(42, None, 1);
         let a = overload_cell_hash(&cx, 10.0, true, OVERLOAD_SCENARIO);
         let b = overload_cell_hash(&cx, 10.0, false, OVERLOAD_SCENARIO);
         let c = overload_cell_hash(&cx, 10.0, true, "");
@@ -578,11 +574,7 @@ mod tests {
 
     #[test]
     fn cell_hashes_distinguish_points() {
-        let cx = Ctx {
-            seed: 42,
-            sweep: None,
-            jobs: 1,
-        };
+        let cx = Ctx::new(42, None, 1);
         let a = cell_hash(&cx, 10.0, 0);
         let b = cell_hash(&cx, 20.0, 0);
         let c = cell_hash(&cx, 10.0, FAULT_MASK);

@@ -478,15 +478,15 @@ fn handle_command(
             );
             if rebind {
                 *cell_cx = Some((
-                    Ctx {
+                    Ctx::new(
                         seed,
-                        sweep: Some(SweepOptions {
+                        Some(SweepOptions {
                             dir: dir.into(),
                             resume: false,
                             interval,
                         }),
-                        jobs: cx.jobs,
-                    },
+                        cx.jobs,
+                    ),
                     dir.to_string(),
                     seed,
                     interval,

@@ -384,6 +384,28 @@ mod tests {
         assert_eq!(ds.metapaths.len(), 3);
     }
 
+    /// Pins every preset's generated graph, both CSR directions
+    /// included, to the bytes of its JSON form (FNV-1a via
+    /// `checkpoint::config_hash`), so a change to the sampler or to the
+    /// CSR build cannot move a graph unnoticed.
+    #[test]
+    fn generated_graphs_match_the_golden_digests() {
+        for (id, scale, digest) in [
+            (DatasetId::Dblp, 1.0, 0x1c4d_582e_6ad6_5241),
+            (DatasetId::Imdb, 1.0, 0x8384_e372_1662_d64e),
+            (DatasetId::Lastfm, 1.0, 0x3924_8df3_e9ad_ded1),
+            (DatasetId::OgbMag, 0.01, 0xb889_cc17_6d02_12dc),
+            (DatasetId::Oag, 0.002, 0x6e5b_6379_ddfe_702b),
+        ] {
+            let ds = generate(id, GeneratorConfig::at_scale(scale));
+            assert_eq!(
+                checkpoint::config_hash(&ds.graph),
+                digest,
+                "{id} at scale {scale}"
+            );
+        }
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = generate(DatasetId::Imdb, GeneratorConfig::at_scale(0.1));

@@ -177,7 +177,10 @@ impl HeteroGraph {
 pub struct HeteroGraphBuilder {
     schema: GraphSchema,
     vertex_counts: Vec<u32>,
-    edges: BTreeMap<Relation, Vec<(Vertex, Vertex)>>,
+    /// Per relation, the local ids of each added edge's endpoints,
+    /// oriented `(lo, hi)` by [`Relation`]; a self-relation keeps the
+    /// order the edge was added in.
+    edges: BTreeMap<Relation, Vec<(u32, u32)>>,
 }
 
 impl HeteroGraphBuilder {
@@ -235,7 +238,11 @@ impl HeteroGraphBuilder {
                 return Err(GraphError::VertexOutOfRange { vertex: v, count });
             }
         }
-        self.edges.entry(rel).or_default().push((a, b));
+        let (l, h) = if a.ty == rel.lo() { (a, b) } else { (b, a) };
+        self.edges
+            .entry(rel)
+            .or_default()
+            .push((l.id.raw(), h.id.raw()));
         Ok(self)
     }
 
@@ -258,12 +265,21 @@ impl HeteroGraphBuilder {
     ///
     /// [`finish`]: HeteroGraphBuilder::finish
     pub fn finish_checked(self) -> Result<HeteroGraph, GraphError> {
-        for pairs in self.edges.values() {
+        for (rel, pairs) in &self.edges {
             let mut seen = BTreeSet::new();
-            for &(a, b) in pairs {
-                let key = if b < a { (b, a) } else { (a, b) };
+            for &(l, h) in pairs {
+                // Only a self-relation can hold one edge in both
+                // orientations.
+                let key = if rel.lo() == rel.hi() {
+                    (l.min(h), l.max(h))
+                } else {
+                    (l, h)
+                };
                 if !seen.insert(key) {
-                    return Err(GraphError::DuplicateEdge { a: key.0, b: key.1 });
+                    return Err(GraphError::DuplicateEdge {
+                        a: Vertex::new(rel.lo(), VertexId::new(key.0)),
+                        b: Vertex::new(rel.hi(), VertexId::new(key.1)),
+                    });
                 }
             }
         }
@@ -278,32 +294,28 @@ impl HeteroGraphBuilder {
     pub fn finish(self) -> HeteroGraph {
         let mut adjacency: BTreeMap<(VertexTypeId, VertexTypeId), Csr> = BTreeMap::new();
         let mut edge_counts = BTreeMap::new();
-        for (rel, pairs) in &self.edges {
+        for (rel, mut pairs) in self.edges {
             let (lo, hi) = (rel.lo(), rel.hi());
+            let count = |ty: VertexTypeId| self.vertex_counts[ty.index()] as usize;
             if lo == hi {
                 // Self-relation (e.g. Paper-Paper): one CSR with both
                 // directions folded in. Self-loops were rejected at
                 // insertion, so every edge contributes two entries.
-                let mut b = CsrBuilder::new(self.vertex_counts[lo.index()] as usize);
-                for &(a, bv) in pairs {
-                    b.push(a.id, bv.id);
-                    b.push(bv.id, a.id);
+                pairs.extend_from_within(..);
+                let added = pairs.len() / 2;
+                for pair in &mut pairs[added..] {
+                    *pair = (pair.1, pair.0);
                 }
-                let csr = b.finish();
-                edge_counts.insert(*rel, csr.edge_count() / 2);
+                let csr = CsrBuilder::with_edges(count(lo), pairs).finish();
+                edge_counts.insert(rel, csr.edge_count() / 2);
                 adjacency.insert((lo, lo), csr);
             } else {
-                let mut fwd = CsrBuilder::new(self.vertex_counts[lo.index()] as usize);
-                let mut rev = CsrBuilder::new(self.vertex_counts[hi.index()] as usize);
-                for &(a, bv) in pairs {
-                    let (l, h) = if a.ty == lo { (a, bv) } else { (bv, a) };
-                    fwd.push(l.id, h.id);
-                    rev.push(h.id, l.id);
-                }
-                let fwd = fwd.finish();
-                edge_counts.insert(*rel, fwd.edge_count());
+                // The reverse direction is the transpose of the
+                // deduplicated forward CSR, which needs no sort.
+                let fwd = CsrBuilder::with_edges(count(lo), pairs).finish();
+                edge_counts.insert(rel, fwd.edge_count());
+                adjacency.insert((hi, lo), fwd.transpose(count(hi)));
                 adjacency.insert((lo, hi), fwd);
-                adjacency.insert((hi, lo), rev.finish());
             }
         }
         HeteroGraph {

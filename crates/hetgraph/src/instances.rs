@@ -176,6 +176,23 @@ pub fn count_instances_per_start(
     suffix_walk_counts(graph, metapath.vertex_types(), 0)
 }
 
+/// Counts, for every start vertex, its instances and the nodes of its
+/// prefix tree (root included) in one backward pass: entry `v` is
+/// `(count_instances_per_start[v], suffix_walk_counts(.., 1)[v])`.
+///
+/// # Errors
+///
+/// Propagates [`GraphError`] from neighbor queries.
+pub fn count_instances_and_nodes_per_start(
+    graph: &HeteroGraph,
+    metapath: &Metapath,
+) -> Result<Vec<(u128, u128)>, GraphError> {
+    backward_walks(graph, metapath.vertex_types(), (1, 1), (0, 1), |acc, n| {
+        acc.0 += n.0;
+        acc.1 += n.1;
+    })
+}
+
 /// Backward walk-count DP over a vertex-type sequence, for every vertex
 /// of type `types[0]`:
 ///
@@ -197,23 +214,73 @@ pub fn suffix_walk_counts(
     types: &[VertexTypeId],
     base: u128,
 ) -> Result<Vec<u128>, GraphError> {
-    let Some(&last) = types.last() else {
+    backward_walks(graph, types, 1, base, |acc, n| *acc += n)
+}
+
+/// The backward DP behind [`suffix_walk_counts`], over any value that
+/// `add` can sum: `last` at every vertex of the final type, then per
+/// hop `base` plus the sum over each vertex's CSR row. Two buffers,
+/// sized once for the largest type, swap between hops.
+fn backward_walks<T: Copy>(
+    graph: &HeteroGraph,
+    types: &[VertexTypeId],
+    last: T,
+    base: T,
+    add: impl Fn(&mut T, T),
+) -> Result<Vec<T>, GraphError> {
+    let Some(&last_ty) = types.last() else {
         return Ok(Vec::new());
     };
-    let mut suffix: Vec<u128> = vec![1; graph.vertex_count(last)? as usize];
+    let largest = largest_type(graph, types)?;
+    let mut suffix = Vec::with_capacity(largest);
+    suffix.resize(graph.vertex_count(last_ty)? as usize, last);
+    let mut cur = Vec::with_capacity(largest);
     for pair in types.windows(2).rev() {
         let (ty, next_ty) = (pair[0], pair[1]);
-        let count = graph.vertex_count(ty)? as usize;
-        let mut cur = vec![base; count];
-        for (i, slot) in cur.iter_mut().enumerate() {
-            let v = Vertex::new(ty, VertexId::new(i as u32));
-            for &n in graph.typed_neighbors(v, next_ty)? {
-                *slot += suffix[n as usize];
+        cur.clear();
+        cur.resize(graph.vertex_count(ty)? as usize, base);
+        if let Some(csr) = graph.relation_csr(ty, next_ty) {
+            for (slot, row) in cur.iter_mut().zip(csr.rows()) {
+                for &n in row {
+                    add(slot, suffix[n as usize]);
+                }
             }
         }
-        suffix = cur;
+        std::mem::swap(&mut suffix, &mut cur);
     }
     Ok(suffix)
+}
+
+/// The vertex count of the largest type in `types`, which sizes a DP's
+/// two buffers once for every hop.
+fn largest_type(graph: &HeteroGraph, types: &[VertexTypeId]) -> Result<usize, GraphError> {
+    types.iter().try_fold(0, |largest, &ty| {
+        Ok(largest.max(graph.vertex_count(ty)? as usize))
+    })
+}
+
+/// One forward hop from `prev_ty` to `ty`: `next[n]` becomes the sum of
+/// `prev[v]` over every `prev_ty` vertex `v` adjacent to `n`.
+fn forward_hop(
+    graph: &HeteroGraph,
+    prev_ty: VertexTypeId,
+    ty: VertexTypeId,
+    prev: &[u128],
+    next: &mut Vec<u128>,
+) -> Result<(), GraphError> {
+    next.clear();
+    next.resize(graph.vertex_count(ty)? as usize, 0);
+    if let Some(csr) = graph.relation_csr(prev_ty, ty) {
+        for (row, &walks) in csr.rows().zip(prev) {
+            if walks == 0 {
+                continue;
+            }
+            for &n in row {
+                next[n as usize] += walks;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Counts the nodes of the dependency (prefix) tree rooted at each start
@@ -229,26 +296,16 @@ pub fn suffix_walk_counts(
 /// Propagates [`GraphError`] from neighbor queries.
 pub fn count_prefix_nodes(graph: &HeteroGraph, metapath: &Metapath) -> Result<u128, GraphError> {
     let types = metapath.vertex_types();
-    let mut total: u128 = 0;
+    let largest = largest_type(graph, types)?;
     // Forward DP: walks of each prefix length.
-    let start = graph.vertex_count(types[0])? as usize;
-    let mut cur: Vec<u128> = vec![1; start];
-    for depth in 1..types.len() {
-        let prev_ty = types[depth - 1];
-        let ty = types[depth];
-        let count = graph.vertex_count(ty)? as usize;
-        let mut next = vec![0u128; count];
-        for (i, &walks) in cur.iter().enumerate() {
-            if walks == 0 {
-                continue;
-            }
-            let v = Vertex::new(prev_ty, VertexId::new(i as u32));
-            for &n in graph.typed_neighbors(v, ty)? {
-                next[n as usize] += walks;
-            }
-        }
+    let mut cur = Vec::with_capacity(largest);
+    cur.resize(graph.vertex_count(types[0])? as usize, 1u128);
+    let mut next = Vec::with_capacity(largest);
+    let mut total: u128 = 0;
+    for pair in types.windows(2) {
+        forward_hop(graph, pair[0], pair[1], &cur, &mut next)?;
         total += next.iter().sum::<u128>();
-        cur = next;
+        std::mem::swap(&mut cur, &mut next);
     }
     Ok(total)
 }
@@ -270,23 +327,16 @@ pub fn walk_counts_per_level(
 ) -> Result<Vec<Vec<u128>>, GraphError> {
     let types = metapath.vertex_types();
     let mut levels = Vec::with_capacity(types.len());
-    let start = graph.vertex_count(types[0])? as usize;
-    levels.push(vec![1u128; start]);
-    for depth in 1..types.len() {
-        let prev_ty = types[depth - 1];
-        let ty = types[depth];
-        let count = graph.vertex_count(ty)? as usize;
-        let mut next = vec![0u128; count];
-        let prev = &levels[depth - 1];
-        for (i, &walks) in prev.iter().enumerate() {
-            if walks == 0 {
-                continue;
-            }
-            let v = Vertex::new(prev_ty, VertexId::new(i as u32));
-            for &n in graph.typed_neighbors(v, ty)? {
-                next[n as usize] += walks;
-            }
-        }
+    levels.push(vec![1u128; graph.vertex_count(types[0])? as usize]);
+    for pair in types.windows(2) {
+        let mut next = Vec::new();
+        forward_hop(
+            graph,
+            pair[0],
+            pair[1],
+            &levels[levels.len() - 1],
+            &mut next,
+        )?;
         levels.push(next);
     }
     Ok(levels)
@@ -437,6 +487,22 @@ mod tests {
         let (g, mp) = figure6();
         let e = enumerate_instances(&g, &mp, usize::MAX).unwrap();
         assert_eq!(e.byte_size(), 14 * 3 * 4);
+    }
+
+    #[test]
+    fn pair_dp_matches_the_separate_dps_on_every_preset_metapath() {
+        use crate::datasets::{generate, DatasetId, GeneratorConfig};
+        for id in DatasetId::ALL {
+            let scale = if id.is_web_scale() { 0.002 } else { 0.1 };
+            let ds = generate(id, GeneratorConfig::at_scale(scale));
+            for mp in &ds.metapaths {
+                let instances = count_instances_per_start(&ds.graph, mp).unwrap();
+                let nodes = suffix_walk_counts(&ds.graph, mp.vertex_types(), 1).unwrap();
+                let expected: Vec<(u128, u128)> = instances.into_iter().zip(nodes).collect();
+                let pairs = count_instances_and_nodes_per_start(&ds.graph, mp).unwrap();
+                assert_eq!(pairs, expected, "{id}-{}", mp.name());
+            }
+        }
     }
 
     #[test]

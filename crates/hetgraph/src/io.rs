@@ -1,10 +1,13 @@
 //! Binary serialization of heterogeneous graphs and datasets.
 //!
-//! Generating the web-scale presets takes minutes; saving the generated
-//! graph lets experiment runs and downstream users reload it in
-//! seconds. The format (`HGB1`) is a simple length-prefixed binary
-//! layout: schema, vertex counts, canonical-direction edge lists, and
-//! (for datasets) the metapath names.
+//! The format (`HGB1`) is a simple length-prefixed binary layout:
+//! schema, vertex counts, canonical-direction edge lists, and (for
+//! datasets) the metapath names. Loading rebuilds the graph through
+//! [`HeteroGraphBuilder::finish_checked`], so a saved preset is no
+//! faster to get back than a generated one. For OAG at 1/4 scale
+//! (24.1M edges) on a 2-core host, `generate` takes 3.8–4.4 s, while
+//! [`save_dataset`] writes the 193 MB file in 0.5 s and
+//! [`load_dataset`] reads it back in 5.9 s.
 
 use std::error::Error;
 use std::fmt;

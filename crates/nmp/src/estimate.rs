@@ -15,7 +15,7 @@
 //! which is what licenses using the estimator at scale.
 
 use dramsim::{EnergyBreakdown, MemorySystem};
-use hetgraph::instances::{count_instances_per_start, suffix_walk_counts};
+use hetgraph::instances::count_instances_and_nodes_per_start;
 use hetgraph::{HeteroGraph, Metapath};
 use hgnn::ModelKind;
 
@@ -106,13 +106,11 @@ pub fn estimate(
 
         let hops = mp.length() as u128;
         let t0 = mp.start_type();
-        let per_start_instances = count_instances_per_start(graph, mp)?;
-        // Prefix-tree nodes per start vertex, root included.
-        let per_start_nodes = suffix_walk_counts(graph, mp.vertex_types(), 1)?;
+        // Instances and prefix-tree nodes (root included) per start
+        // vertex.
+        let per_start = count_instances_and_nodes_per_start(graph, mp)?;
 
-        for (i, (&insts, &nodes_incl_root)) in
-            per_start_instances.iter().zip(&per_start_nodes).enumerate()
-        {
+        for (i, &(insts, nodes_incl_root)) in per_start.iter().enumerate() {
             let nodes = nodes_incl_root.saturating_sub(1); // drop root
             if insts == 0 && nodes == 0 {
                 continue;
@@ -232,7 +230,7 @@ pub fn estimate(
 mod tests {
     use super::*;
     use hetgraph::datasets::{generate, DatasetId, GeneratorConfig};
-    use hetgraph::instances::{count_instances, count_prefix_nodes};
+    use hetgraph::instances::{count_instances, count_prefix_nodes, suffix_walk_counts};
 
     fn config() -> NmpConfig {
         NmpConfig {
