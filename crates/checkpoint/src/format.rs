@@ -35,8 +35,13 @@ pub const MAGIC: [u8; 8] = *b"MNMPCKPT";
 ///
 /// History: 2 — the DRAM fault-injector image became per-channel
 /// (`InjectorSnapshot.states`, one counter-mode stream position per
-/// channel lane, replacing the single shared `state`).
-pub const FORMAT_VERSION: u32 = 2;
+/// channel lane, replacing the single shared `state`). 3 — DRAM
+/// service streams, so each `ChannelSnapshot` carries its channel's
+/// in-flight service (`service`: statistics, fault tallies and a parked
+/// abort) and unflushed telemetry (`telemetry`, plus each rank's
+/// `busy_cycles`), and the never-written `FunctionalState.slots` is
+/// gone.
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 32;
 

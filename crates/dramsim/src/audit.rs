@@ -34,8 +34,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use serde::{Deserialize, Serialize};
+
 /// DDR4 command classes observed by the protocol checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CmdKind {
     /// Row activation.
     Activate,
@@ -63,7 +65,7 @@ impl CmdKind {
 }
 
 /// One observed command, as recorded in a violation's trace tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CmdEvent {
     /// Issue cycle of the command.
     pub cycle: u64,
@@ -95,7 +97,7 @@ impl fmt::Display for CmdEvent {
 }
 
 /// The protocol rule or conservation invariant a violation breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Constraint {
     /// ACT issued to a bank whose row buffer is already open.
     ActOnOpenRow,
@@ -178,7 +180,7 @@ pub const TRACE_TAIL: usize = 8;
 /// A structured audit violation: which rule broke, a human-readable
 /// account, and the tail of the command trace leading up to (and
 /// including) the violating command.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AuditError {
     /// The rule that was broken.
     pub constraint: Constraint,
@@ -200,6 +202,31 @@ impl fmt::Display for AuditError {
             }
         }
         Ok(())
+    }
+}
+
+/// What the protocol checker has verified and found: commands and
+/// refresh events checked, and violations in the order they were
+/// drained. A memory-system image carries these (see
+/// [`crate::SystemState::audit`]), so an audited run resumed from a
+/// snapshot reports the whole run, not only what its own process saw.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct AuditTally {
+    /// Commands checked.
+    pub commands: u64,
+    /// All-bank refresh operations observed.
+    pub refreshes: u64,
+    /// Violations found.
+    pub violations: Vec<AuditError>,
+}
+
+#[cfg(feature = "audit")]
+impl AuditTally {
+    /// Appends `other`'s counts and violations.
+    pub(crate) fn absorb(&mut self, mut other: AuditTally) {
+        self.commands += other.commands;
+        self.refreshes += other.refreshes;
+        self.violations.append(&mut other.violations);
     }
 }
 
@@ -359,9 +386,8 @@ mod imp {
         chan_bus_end: u64,
         /// Ring of recent commands for violation trace tails.
         trace: VecDeque<CmdEvent>,
-        violations: Vec<AuditError>,
-        commands: u64,
-        refreshes: u64,
+        /// Tallies since the system last drained them.
+        tally: AuditTally,
     }
 
     impl ChannelChecker {
@@ -371,16 +397,20 @@ mod imp {
                 ranks: (0..ranks).map(|_| MirrorRank::new(banks, groups)).collect(),
                 chan_bus_end: 0,
                 trace: VecDeque::with_capacity(TRACE_TAIL),
-                violations: Vec::new(),
-                commands: 0,
-                refreshes: 0,
+                tally: AuditTally::default(),
             }
         }
 
-        /// Re-seeds the mirror from a restored snapshot: open rows and
-        /// refresh epochs carry over; timing history is unknown, so
-        /// window checks resume only once fresh commands are observed.
-        pub(crate) fn reseed(&mut self, ranks: &[crate::snapshot::RankSnapshot]) {
+        /// Re-seeds the mirror from a restored snapshot: open rows,
+        /// refresh epochs and the undrained tallies carry over; timing
+        /// history is unknown, so window checks resume only once fresh
+        /// commands are observed.
+        pub(crate) fn reseed(
+            &mut self,
+            ranks: &[crate::snapshot::RankSnapshot],
+            tally: AuditTally,
+        ) {
+            self.tally = tally;
             for (mirror, snap) in self.ranks.iter_mut().zip(ranks) {
                 for (mb, sb) in mirror.banks.iter_mut().zip(&snap.banks) {
                     *mb = MirrorBank {
@@ -401,12 +431,13 @@ mod imp {
 
         /// Moves the accumulated violations and tallies out (the trace
         /// ring and mirror state persist across service calls).
-        pub(crate) fn take_delta(&mut self) -> (Vec<AuditError>, u64, u64) {
-            (
-                std::mem::take(&mut self.violations),
-                std::mem::take(&mut self.commands),
-                std::mem::take(&mut self.refreshes),
-            )
+        pub(crate) fn take_delta(&mut self) -> AuditTally {
+            std::mem::take(&mut self.tally)
+        }
+
+        /// The tallies not yet drained, for a snapshot.
+        pub(crate) fn tally(&self) -> Option<AuditTally> {
+            Some(self.tally.clone())
         }
 
         fn record(&mut self, ev: CmdEvent, fail: Option<(Constraint, String)>) {
@@ -415,7 +446,7 @@ mod imp {
             }
             self.trace.push_back(ev);
             if let Some((constraint, message)) = fail {
-                self.violations.push(AuditError {
+                self.tally.violations.push(AuditError {
                     constraint,
                     message,
                     trace: self.trace.iter().copied().collect(),
@@ -431,8 +462,8 @@ mod imp {
             resume: u64,
             t: &Timing,
         ) {
-            self.commands += 1;
-            self.refreshes += refreshes;
+            self.tally.commands += 1;
+            self.tally.refreshes += refreshes;
             let ev = CmdEvent {
                 cycle: resume.saturating_sub(t.t_rfc),
                 kind: CmdKind::Refresh,
@@ -462,7 +493,7 @@ mod imp {
         }
 
         pub(crate) fn observe_pre(&mut self, rank: usize, bank: usize, cycle: u64, t: &Timing) {
-            self.commands += 1;
+            self.tally.commands += 1;
             let tras = t.t_rc - t.t_rp;
             let r = &mut self.ranks[rank];
             let b = &mut r.banks[bank];
@@ -506,7 +537,7 @@ mod imp {
             cycle: u64,
             t: &Timing,
         ) {
-            self.commands += 1;
+            self.tally.commands += 1;
             let ev = CmdEvent {
                 cycle,
                 kind: CmdKind::Activate,
@@ -621,7 +652,7 @@ mod imp {
             locality: Locality,
             t: &Timing,
         ) {
-            self.commands += 1;
+            self.tally.commands += 1;
             let ev = CmdEvent {
                 cycle: col,
                 kind: match kind {
@@ -719,14 +750,14 @@ mod imp {
         /// Broadcast / direct-send transfers: pure channel-bus traffic
         /// with no bank activity — only bus exclusivity applies.
         pub(crate) fn observe_bus_only(&mut self, data_start: u64, data_end: u64) {
-            self.commands += 1;
+            self.tally.commands += 1;
             if data_start < self.chan_bus_end {
                 let message = format!(
                     "bus-only transfer {data_start}..{data_end} overlaps the previous \
                      burst ending at {} on the channel bus",
                     self.chan_bus_end
                 );
-                self.violations.push(AuditError {
+                self.tally.violations.push(AuditError {
                     constraint: Constraint::DataBusOverlap,
                     message,
                     trace: self.trace.iter().copied().collect(),
@@ -744,6 +775,7 @@ mod imp {
     //! the scheduler hot path is byte-for-byte the unaudited one.
     #![allow(clippy::too_many_arguments)]
 
+    use super::AuditTally;
     use crate::config::Timing;
     use crate::request::{Locality, RequestKind};
 
@@ -754,6 +786,11 @@ mod imp {
         #[inline(always)]
         pub(crate) fn new(_ch: usize, _ranks: usize, _banks: usize, _groups: usize) -> Self {
             ChannelChecker
+        }
+
+        /// Nothing is checked, so a snapshot carries no tallies.
+        pub(crate) fn tally(&self) -> Option<AuditTally> {
+            None
         }
 
         #[inline(always)]

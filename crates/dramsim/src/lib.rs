@@ -15,15 +15,21 @@
 //!   on the channel, with I/O energy scaled by the terminal capacitance
 //!   of all DIMMs.
 //!
-//! A simulation enqueues all of its traffic before one service call,
-//! so per-burst host state is kept small: a queued burst is a 32-byte
-//! entry holding the request id, row, arrival cycle and the compact
-//! rank/bank/bank-group/column coordinates the scheduler reads, and a
-//! request's completion is read on demand with
-//! [`MemorySystem::completion`] rather than returned for every request
-//! on every service call. [`MemorySystem::new`] refuses topologies
-//! beyond 256 ranks per channel, 256 banks per rank or 65,536 columns
-//! per row ([`MemorySystem::check_topology`]).
+//! Service streams. [`MemorySystem::enqueue`] services a channel once
+//! its queue reaches a small high-water mark (64 bursts, or four
+//! scheduling windows if that is more), picking only while a full
+//! scheduling window is queued, so every pick, issue cycle and fault
+//! draw is the one a single service of the whole batch would make;
+//! [`MemorySystem::service_all`] drains the rest and publishes the
+//! results. A simulation that enqueues millions of bursts before its
+//! one service call so holds a few dozen per channel at a time. A
+//! queued burst is a 32-byte entry holding the request id, row,
+//! arrival cycle and the compact rank/bank/bank-group/column
+//! coordinates the scheduler reads, and a request's completion is read
+//! on demand with [`MemorySystem::completion`] rather than returned for
+//! every request on every service call. [`MemorySystem::new`] refuses
+//! topologies beyond 256 ranks per channel, 256 banks per rank or
+//! 65,536 columns per row ([`MemorySystem::check_topology`]).
 //!
 //! # Example
 //!
@@ -56,11 +62,12 @@ mod stats;
 mod system;
 
 pub use address::{AddressMapper, Location};
-pub use audit::{AuditError, AuditReport, CmdEvent, CmdKind, Constraint, Perturbation};
+pub use audit::{AuditError, AuditReport, AuditTally, CmdEvent, CmdKind, Constraint, Perturbation};
 pub use config::{DramConfig, EnergyParams, Timing};
 pub use request::{Completion, Locality, Request, RequestId, RequestKind};
 pub use snapshot::{
-    BankSnapshot, BurstState, ChannelSnapshot, InjectorSnapshot, RankSnapshot, SystemState,
+    BankSnapshot, BurstState, ChannelSnapshot, ChannelTelemetry, InjectorSnapshot, RankSnapshot,
+    ServiceState, SystemState,
 };
 pub use stats::{EnergyBreakdown, MemoryStats};
 pub use system::{MemorySystem, Report};

@@ -1,23 +1,30 @@
 //! Serializable state images for checkpoint/resume.
 //!
 //! [`SystemState`] captures everything [`crate::MemorySystem`] carries
-//! between `service_all` calls: queued bursts, per-bank row-buffer and
-//! timing state, rank-level scheduling windows, cumulative statistics,
-//! pending-request bookkeeping, and the fault injector's stream
-//! positions. Restoring it into a fresh system under the same
+//! between calls: queued bursts, per-bank row-buffer and timing state,
+//! rank-level scheduling windows, cumulative statistics, pending-request
+//! bookkeeping, the fault injector's stream positions, and each
+//! channel's service in flight. `enqueue` services a channel whose queue
+//! reaches its high-water mark, so an image can fall between two
+//! `service_all` calls with bursts already serviced: their statistics
+//! and fault tallies wait in [`ServiceState`] for the next merge, and
+//! their telemetry in [`ChannelTelemetry`] for the next flush.
+//! Restoring the image into a fresh system under the same
 //! [`crate::DramConfig`] continues the timeline exactly — a resumed run
-//! issues the same commands at the same cycles as an uninterrupted one.
+//! issues the same commands at the same cycles, adds the energy terms in
+//! the same order, and publishes the same telemetry as an uninterrupted
+//! one.
 //!
-//! Not captured: the telemetry-only accumulators (histograms, per-rank
-//! busy tallies, activity windows). Those are flushed to the global
-//! `obs` registry at every `service_all` boundary, which is also the
-//! only sound place to snapshot, so they are empty by construction; a
-//! restore resets them.
+//! Not captured: the closed per-rank activity windows and the open one
+//! of each rank. They are simulated-time trace events, which the `obs`
+//! checkpoint image does not carry across a resume either; a restore
+//! starts each rank's trace afresh.
 
 use serde::{Deserialize, Serialize};
 
-use faultsim::{FaultConfig, FaultStats, InjectorState};
+use faultsim::{FaultConfig, FaultError, FaultStats, InjectorState};
 
+use crate::audit::AuditTally;
 use crate::config::DramConfig;
 use crate::request::{Locality, RequestKind};
 use crate::stats::MemoryStats;
@@ -83,9 +90,65 @@ pub struct RankSnapshot {
     pub local_bus_free: u64,
     /// Last refresh epoch observed.
     pub refresh_epoch: u64,
+    /// Telemetry: data cycles on this rank since the last flush.
+    pub busy_cycles: u64,
 }
 
-/// Queue and rank state of one channel.
+/// What one channel has serviced since the last `service_all` merge.
+///
+/// Each channel accumulates on its own until `service_all` folds the
+/// channels in channel order, so the `f64` energy sums add in the order
+/// of a single service of the whole batch.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ServiceState {
+    /// Statistics of the bursts serviced since the merge
+    /// (`elapsed_cycles` is their latest finish).
+    pub stats: MemoryStats,
+    /// Fault accounting of those bursts.
+    pub fault_stats: FaultStats,
+    /// The fault that aborted the channel's service, if any. The channel
+    /// is parked: it services nothing more until `service_all` reports
+    /// the abort. The burst the abort hit has left the queue without
+    /// retiring, so it stays outstanding in the ledger.
+    pub error: Option<FaultError>,
+}
+
+/// Telemetry one channel has gathered since the last flush to the `obs`
+/// registry, which `service_all` performs.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ChannelTelemetry {
+    /// Bursts serviced.
+    pub bursts: u64,
+    /// Bytes those bursts moved.
+    pub bytes: u64,
+    /// Bank bursts that hit an open row.
+    pub row_hits: u64,
+    /// Bank bursts that activated a row.
+    pub row_misses: u64,
+    /// Burst latency (finish − arrival) in cycles.
+    pub latency: obs::Histogram,
+    /// Queue depth at each scheduler pick.
+    pub queue_depth: obs::Histogram,
+    /// Activates per in-rank bank index.
+    pub bank_activates: Vec<u64>,
+}
+
+impl ChannelTelemetry {
+    /// Empty tallies for a rank of `banks` banks.
+    pub(crate) fn new(banks: usize) -> Self {
+        ChannelTelemetry {
+            bursts: 0,
+            bytes: 0,
+            row_hits: 0,
+            row_misses: 0,
+            latency: obs::Histogram::new(),
+            queue_depth: obs::Histogram::new(),
+            bank_activates: vec![0; banks],
+        }
+    }
+}
+
+/// Queue, rank and in-flight service state of one channel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChannelSnapshot {
     /// Per-rank state, `dimm * ranks_per_dimm + rank` order.
@@ -94,6 +157,14 @@ pub struct ChannelSnapshot {
     pub bus_free: u64,
     /// Bursts still waiting to be scheduled, queue order preserved.
     pub queue: Vec<BurstState>,
+    /// Service since the last merge.
+    pub service: ServiceState,
+    /// Telemetry since the last flush.
+    pub telemetry: ChannelTelemetry,
+    /// The channel's protocol-checker tallies since the system last
+    /// drained them; `None` when the writer was built without the
+    /// `audit` feature.
+    pub audit: Option<AuditTally>,
 }
 
 /// Complete state image of a [`crate::MemorySystem`].
@@ -112,7 +183,8 @@ pub struct SystemState {
     pub flushed_faults: FaultStats,
     /// Per-request `(bursts remaining, first data_start, last finish)`;
     /// restore requires each request's bursts remaining to equal the
-    /// bursts it has queued across all channels.
+    /// bursts it has queued across all channels, plus the burst a parked
+    /// channel's abort hit.
     pub pending: Vec<(usize, u64, u64)>,
     /// Next request id to assign.
     pub next_id: usize,
@@ -120,4 +192,8 @@ pub struct SystemState {
     pub injector: Option<InjectorSnapshot>,
     /// Per-channel queues and rank state.
     pub channels: Vec<ChannelSnapshot>,
+    /// Audit tallies drained from the channels so far; `None` when the
+    /// writer was built without the `audit` feature. An audited system
+    /// restored from an image that has them reports the whole run.
+    pub audit: Option<AuditTally>,
 }

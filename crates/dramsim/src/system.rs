@@ -22,7 +22,8 @@ use crate::audit;
 use crate::config::DramConfig;
 use crate::request::{Completion, Locality, Request, RequestId, RequestKind};
 use crate::snapshot::{
-    BankSnapshot, BurstState, ChannelSnapshot, InjectorSnapshot, RankSnapshot, SystemState,
+    BankSnapshot, BurstState, ChannelSnapshot, ChannelTelemetry, InjectorSnapshot, RankSnapshot,
+    ServiceState, SystemState,
 };
 use crate::stats::MemoryStats;
 
@@ -30,6 +31,12 @@ use crate::stats::MemoryStats;
 /// other coalesce into one trace segment, keeping trace files small
 /// while still showing rank-level overlap.
 const ACTIVITY_GAP: u64 = 64;
+
+/// `enqueue` services a channel once its queue holds this many bursts,
+/// or four scheduling windows if that is more. Each such call services
+/// all but the last `sched_window - 1` bursts, so the mark trades the
+/// per-call overhead against the bursts held queued between calls.
+const HIGH_WATER: usize = 64;
 
 #[derive(Debug, Clone, Default)]
 struct BankState {
@@ -61,7 +68,7 @@ struct RankState {
     /// Telemetry: open coalesced busy window `(start, end)` in cycles.
     activity: Option<(u64, u64)>,
     /// Telemetry: data cycles on this rank since the last flush.
-    busy_tally: u64,
+    busy_cycles: u64,
 }
 
 impl RankState {
@@ -76,28 +83,32 @@ impl RankState {
             local_bus_free: 0,
             refresh_epoch: 0,
             activity: None,
-            busy_tally: 0,
+            busy_cycles: 0,
         }
     }
 }
 
-/// Telemetry tallies accumulated per channel between flushes, so the
-/// per-burst hot path touches only local memory; [`MemorySystem::service_all`]
-/// publishes them to the global registry once per call.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChanTally {
-    bursts: u64,
-    bytes: u64,
-    row_hits: u64,
-    row_misses: u64,
-}
-
+/// One channel's timing state, queue and in-flight service. Everything
+/// the service loop writes lives here, so a channel's service can run
+/// on any thread, and `enqueue` can service one channel at a time.
 #[derive(Debug, Clone)]
 struct ChannelState {
     ranks: Vec<RankState>,
     bus_free: u64,
     queue: VecDeque<Burst>,
-    tally: ChanTally,
+    /// Service since the last merge in [`MemorySystem::try_service_all`].
+    service: ServiceState,
+    /// Telemetry since the last flush, so the per-burst hot path
+    /// touches only local memory; [`MemorySystem::service_all`]
+    /// publishes it to the global registry once per call.
+    telemetry: ChannelTelemetry,
+    /// Telemetry: closed activity windows since the last flush,
+    /// `(linear rank, start cycle, duration)`.
+    slices: Vec<(usize, u64, u64)>,
+    /// `(request index, data_start, finish)` of the bursts the current
+    /// service call retired, in service order; the caller folds them
+    /// into the completion ledger and empties it.
+    retired: Vec<(usize, u64, u64)>,
     /// Protocol-checker mirror for this channel (zero-sized no-op
     /// without the `audit` feature). Worker-local like everything else
     /// here, so violations accumulate deterministically per channel.
@@ -109,11 +120,12 @@ struct ChannelState {
 
 /// One queued burst, decoded once at enqueue (and snapshot restore)
 /// into exactly the coordinates the scheduler, the issue path and the
-/// fault pipeline read, packed into 32 bytes: a simulation queues
-/// millions of bursts before its single service call, so this entry's
-/// size is most of the simulator's host memory. The channel is implied
-/// by the queue the burst sits in; the snapshot recomposes the
-/// burst-aligned address from the rest.
+/// fault pipeline read, packed into 32 bytes. Streaming service keeps a
+/// few dozen per channel queued, except behind a stalled rank or a
+/// parked channel, where the queue holds everything enqueued until
+/// `service_all`. The channel is implied by the queue the burst sits
+/// in; the snapshot recomposes the burst-aligned address from the
+/// rest.
 #[derive(Debug, Clone, Copy)]
 struct Burst {
     id: RequestId,
@@ -198,17 +210,12 @@ pub struct MemorySystem {
     mapper: AddressMapper,
     channels: Vec<ChannelState>,
     stats: MemoryStats,
-    /// (bursts remaining, first data_start, last finish) per request.
+    /// (bursts remaining, first data_start, last finish) per request,
+    /// updated as bursts retire.
     pending: Vec<(usize, u64, u64)>,
     next_id: usize,
     /// Telemetry: the stats already published as counter deltas.
     flushed: MemoryStats,
-    /// Telemetry: burst latency (finish − arrival) since last flush.
-    latency_hist: obs::Histogram,
-    /// Telemetry: scheduler queue depth at each pick since last flush.
-    queue_depth_hist: obs::Histogram,
-    /// Telemetry: activates per bank index since last flush.
-    bank_act_tally: Vec<u64>,
     /// Per-channel fault injectors, one stream lane per channel (lane =
     /// channel index, so a single-channel system reproduces the legacy
     /// single-injector schedule exactly). Empty when no fault model is
@@ -219,10 +226,6 @@ pub struct MemorySystem {
     fault_stats: FaultStats,
     /// Telemetry: the fault stats already published as counter deltas.
     flushed_faults: FaultStats,
-    /// Telemetry: closed per-rank activity windows awaiting emission,
-    /// accumulated in channel order — `(channel, linear rank, start
-    /// cycle, duration)`.
-    slice_buffer: Vec<(usize, usize, u64, u64)>,
     /// System-level audit accumulators (violations drained from the
     /// per-channel checkers in channel order, plus the retirement
     /// ledger).
@@ -231,23 +234,23 @@ pub struct MemorySystem {
 }
 
 /// Audit-layer accumulators owned by the system (as opposed to the
-/// per-channel checker mirrors). Not part of a snapshot: audit state is
-/// per-process diagnostics; a restored system re-seeds its mirrors
-/// conservatively and restarts the ledger from the queued remainder.
+/// per-channel checker mirrors). A snapshot carries the tallies; the
+/// rest is per-process: a restored system re-seeds its mirrors
+/// conservatively and restarts the retirement ledger from the
+/// outstanding remainder.
 #[cfg(feature = "audit")]
 #[derive(Debug, Default)]
 struct AuditAccum {
-    violations: Vec<audit::AuditError>,
-    commands: u64,
-    refreshes: u64,
+    /// Tallies drained from the per-channel checkers, in channel order.
+    tally: audit::AuditTally,
     /// Violations already published as telemetry counter deltas.
     flushed_violations: u64,
     /// Bursts expected per request id (parallel to `pending`).
     expected: Vec<usize>,
     /// Bursts actually retired per request id.
     serviced: Vec<usize>,
-    /// Refresh energy already accounted before this process observed
-    /// the system (non-zero only after a snapshot restore).
+    /// Refresh energy of refreshes no checker counted: non-zero only
+    /// after restoring an image written without the `audit` feature.
     refresh_pj_base: f64,
 }
 
@@ -270,7 +273,10 @@ impl MemorySystem {
                     .collect(),
                 bus_free: 0,
                 queue: VecDeque::new(),
-                tally: ChanTally::default(),
+                service: ServiceState::default(),
+                telemetry: ChannelTelemetry::new(config.banks_per_rank()),
+                slices: Vec::new(),
+                retired: Vec::new(),
                 checker: audit::ChannelChecker::new(
                     ch,
                     ranks_per_channel,
@@ -288,13 +294,9 @@ impl MemorySystem {
             pending: Vec::new(),
             next_id: 0,
             flushed: MemoryStats::default(),
-            latency_hist: obs::Histogram::new(),
-            queue_depth_hist: obs::Histogram::new(),
-            bank_act_tally: vec![0; config.banks_per_rank()],
             injectors: Vec::new(),
             fault_stats: FaultStats::default(),
             flushed_faults: FaultStats::default(),
-            slice_buffer: Vec::new(),
             #[cfg(feature = "audit")]
             audit: AuditAccum::default(),
             config,
@@ -345,7 +347,7 @@ impl MemorySystem {
     }
 
     /// Cumulative fault-injection accounting (all zero when no fault
-    /// model is attached).
+    /// model is attached), updated by [`MemorySystem::service_all`].
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats
     }
@@ -374,7 +376,9 @@ impl MemorySystem {
     /// last finish over all its bursts — once every burst has retired.
     /// `None` until then, including when a fault aborted the service
     /// before all of them retired, and for an id this system never
-    /// issued.
+    /// issued. Streaming service retires bursts during
+    /// [`MemorySystem::enqueue`], so a request can complete before
+    /// [`MemorySystem::service_all`].
     pub fn completion(&self, id: RequestId) -> Option<Completion> {
         match *self.pending.get(id.0)? {
             (0, data_start, finish) => Some(Completion {
@@ -388,6 +392,13 @@ impl MemorySystem {
 
     /// Queues a request; larger-than-burst requests are split into
     /// sequential bursts and complete when their last burst finishes.
+    ///
+    /// A channel whose queue reaches the high-water mark (64 bursts, or
+    /// four scheduling windows if that is more) is serviced on the
+    /// spot, while its scheduling window stays full, so every pick is
+    /// the one a single service of the whole batch would make. Its
+    /// statistics wait in the channel for the next
+    /// [`MemorySystem::service_all`], which merges and publishes them.
     ///
     /// # Panics
     ///
@@ -403,6 +414,7 @@ impl MemorySystem {
             self.audit.expected.push(bursts);
             self.audit.serviced.push(0);
         }
+        let high_water = HIGH_WATER.max(4 * self.config.sched_window);
         for i in 0..bursts {
             let addr = req.addr + (i * self.config.burst_bytes) as u64;
             let loc = self.mapper.map(addr);
@@ -414,9 +426,43 @@ impl MemorySystem {
                 req.arrival_cycle,
                 &self.config,
             );
-            self.channels[loc.channel].queue.push_back(burst);
+            let queue = &mut self.channels[loc.channel].queue;
+            queue.push_back(burst);
+            if queue.len() >= high_water {
+                self.stream(loc.channel);
+            }
         }
         id
+    }
+
+    /// Services channel `ch` while its scheduling window is full, then
+    /// folds the retired bursts into the completion ledger.
+    fn stream(&mut self, ch: usize) {
+        ChannelWorker {
+            config: &self.config,
+            ch,
+            state: &mut self.channels[ch],
+            injector: self.injectors.get_mut(ch),
+        }
+        .run(true);
+        self.retire(ch);
+    }
+
+    /// Folds the bursts channel `ch` retired into the completion ledger
+    /// (and the audit's retirement count). Decrement, minimum and
+    /// maximum commute, so the ledger does not depend on the order in
+    /// which channels are folded.
+    fn retire(&mut self, ch: usize) {
+        for (idx, data_start, finish) in self.channels[ch].retired.drain(..) {
+            let entry = &mut self.pending[idx];
+            entry.0 -= 1;
+            entry.1 = entry.1.min(data_start);
+            entry.2 = entry.2.max(finish);
+            #[cfg(feature = "audit")]
+            {
+                self.audit.serviced[idx] += 1;
+            }
+        }
     }
 
     /// Services every queued request with per-channel FR-FCFS
@@ -450,53 +496,39 @@ impl MemorySystem {
     /// Channels share no timing state, so each channel's service loop
     /// runs as an independent worker — on scoped threads when the host
     /// thread budget ([`crate::parallel`]) and queue depth warrant it —
-    /// and the workers' deltas are folded back in fixed channel order.
-    /// The serial and threaded paths execute the same worker code and
-    /// the same ordered merge, so the report is byte-identical at every
-    /// thread count.
+    /// and the channels' service since the last merge (streamed during
+    /// [`MemorySystem::enqueue`] plus this drain) is folded in fixed
+    /// channel order. The serial and threaded paths execute the same
+    /// worker code and the same ordered merge, so the report is
+    /// byte-identical at every thread count.
     ///
     /// On error, bursts already serviced keep their timeline effects
     /// and unserviced bursts stay queued; every channel is still
-    /// serviced (faults abort their own channel only) and the
-    /// lowest-indexed channel's error is reported. Telemetry is flushed
-    /// either way so the trip is visible in the registry.
+    /// serviced (faults abort their own channel only, whether in this
+    /// drain or while streaming) and the lowest-indexed channel's error
+    /// is reported. Telemetry is flushed either way so the trip is
+    /// visible in the registry.
     pub fn try_service_all(&mut self) -> Result<Report, FaultError> {
+        self.drain_channels();
         let mut aborted = None;
-        for out in self.service_channels() {
-            // Ordered merge: outcomes arrive in channel order, so every
-            // accumulator — including the f64 energy tallies — sees the
-            // same fold sequence regardless of the thread count.
-            self.stats.merge(&out.stats);
-            self.fault_stats.merge(&out.fault_stats);
-            self.latency_hist.merge(&out.latency_hist);
-            self.queue_depth_hist.merge(&out.queue_depth_hist);
-            for (bank, n) in out.bank_act_tally.iter().enumerate() {
-                self.bank_act_tally[bank] += n;
-            }
-            for &(idx, data_start, finish) in &out.bursts {
-                let entry = &mut self.pending[idx];
-                entry.0 -= 1;
-                entry.1 = entry.1.min(data_start);
-                entry.2 = entry.2.max(finish);
-                #[cfg(feature = "audit")]
-                {
-                    self.audit.serviced[idx] += 1;
-                }
-            }
-            self.slice_buffer
-                .extend(out.slices.iter().map(|&(r, s, d)| (out.ch, r, s, d)));
+        for ch in 0..self.channels.len() {
+            // Ordered merge: channel by channel, so every accumulator —
+            // including the f64 energy tallies — sees the same fold
+            // sequence regardless of the thread count and of how much
+            // of the service was streamed.
+            let service = std::mem::take(&mut self.channels[ch].service);
+            self.stats.merge(&service.stats);
+            self.fault_stats.merge(&service.fault_stats);
             if aborted.is_none() {
-                aborted = out.error;
+                aborted = service.error;
             }
+            self.retire(ch);
         }
         // Drain the per-channel checkers in channel order so the
         // violation list is identical at every thread count.
         #[cfg(feature = "audit")]
         for ch in &mut self.channels {
-            let (mut violations, commands, refreshes) = ch.checker.take_delta();
-            self.audit.violations.append(&mut violations);
-            self.audit.commands += commands;
-            self.audit.refreshes += refreshes;
+            self.audit.tally.absorb(ch.checker.take_delta());
         }
         // Background energy for the newly elapsed span.
         let elapsed_s = self.stats.elapsed_cycles as f64 * self.config.cycle_seconds();
@@ -528,10 +560,12 @@ impl MemorySystem {
     /// Called once per [`MemorySystem::service_all`] so the per-burst
     /// hot path never takes the registry lock; global counters receive
     /// the delta since the previous flush, histograms merge and reset.
+    /// The registry sums what it receives, so the result does not
+    /// depend on how the channels' tallies are grouped.
     fn flush_telemetry(&mut self) {
         #[cfg(feature = "audit")]
         {
-            let total = self.audit.violations.len() as u64;
+            let total = self.audit.tally.violations.len() as u64;
             obs::counter_add(
                 "audit.protocol_violations",
                 total - self.audit.flushed_violations,
@@ -563,38 +597,39 @@ impl MemorySystem {
         obs::gauge_set("dram.elapsed_cycles", self.stats.elapsed_cycles as f64);
         obs::gauge_set("dram.energy_total_pj", self.stats.energy.total_pj());
         obs::gauge_set("dram.energy_bus_pj", self.stats.energy.bus_pj());
-        obs::hist_merge("dram.burst_latency_cycles", &self.latency_hist);
-        self.latency_hist = obs::Histogram::new();
-        obs::hist_merge("dram.sched_queue_depth", &self.queue_depth_hist);
-        self.queue_depth_hist = obs::Histogram::new();
-        for (b, n) in self.bank_act_tally.iter_mut().enumerate() {
-            obs::counter_add(&format!("dram.bank{b}.activates"), *n);
-            *n = 0;
-        }
+        let banks = self.config.banks_per_rank();
+        let mut bank_activates = vec![0; banks];
         let rpd = self.config.ranks_per_dimm;
-        // Closed activity windows, buffered by the channel workers and
-        // already ordered by channel at the merge barrier.
-        for (ch, r, start, dur) in self.slice_buffer.drain(..) {
-            obs::sim_slice(
-                &format!("dram ch{ch} dimm{} rank{}", r / rpd, r % rpd),
-                "data",
-                start,
-                dur,
-            );
+        // Closed activity windows of every channel, in channel order,
+        // before each rank's open window below.
+        for (ch, channel) in self.channels.iter_mut().enumerate() {
+            for (r, start, dur) in channel.slices.drain(..) {
+                obs::sim_slice(
+                    &format!("dram ch{ch} dimm{} rank{}", r / rpd, r % rpd),
+                    "data",
+                    start,
+                    dur,
+                );
+            }
         }
         for (ch, channel) in self.channels.iter_mut().enumerate() {
-            let t = std::mem::take(&mut channel.tally);
+            let t = std::mem::replace(&mut channel.telemetry, ChannelTelemetry::new(banks));
+            obs::hist_merge("dram.burst_latency_cycles", &t.latency);
+            obs::hist_merge("dram.sched_queue_depth", &t.queue_depth);
+            for (sum, n) in bank_activates.iter_mut().zip(&t.bank_activates) {
+                *sum += n;
+            }
             obs::counter_add(&format!("dram.ch{ch}.bursts"), t.bursts);
             obs::counter_add(&format!("dram.ch{ch}.bytes"), t.bytes);
             obs::counter_add(&format!("dram.ch{ch}.row_hits"), t.row_hits);
             obs::counter_add(&format!("dram.ch{ch}.row_misses"), t.row_misses);
             for (r, rank) in channel.ranks.iter_mut().enumerate() {
-                if rank.busy_tally > 0 {
+                if rank.busy_cycles > 0 {
                     obs::counter_add(
                         &format!("dram.ch{ch}.dimm{}.rank{}.busy_cycles", r / rpd, r % rpd),
-                        rank.busy_tally,
+                        rank.busy_cycles,
                     );
-                    rank.busy_tally = 0;
+                    rank.busy_cycles = 0;
                 }
                 if let Some((s, e)) = rank.activity.take() {
                     obs::sim_slice(
@@ -606,57 +641,53 @@ impl MemorySystem {
                 }
             }
         }
+        for (b, n) in bank_activates.into_iter().enumerate() {
+            obs::counter_add(&format!("dram.bank{b}.activates"), n);
+        }
         self.flushed = self.stats;
         self.fault_stats.delta(&self.flushed_faults).publish();
         self.flushed_faults = self.fault_stats;
     }
 
-    /// Services every channel and returns one outcome per channel, in
-    /// channel order.
+    /// Services what every channel still has queued, leaving each
+    /// channel's results in its state for the ordered merge.
     ///
     /// The thread budget changes only the execution strategy: with a
     /// budget of one — or too little queued work to amortize thread
     /// spawns — the workers run inline on this thread; otherwise each
     /// channel's worker runs on a scoped thread. Both paths execute the
-    /// same per-channel accumulation and return outcomes in channel
-    /// order, so the caller's merge is identical at every thread count.
-    fn service_channels(&mut self) -> Vec<ChannelOutcome> {
+    /// same per-channel accumulation, so the caller's merge is
+    /// identical at every thread count.
+    fn drain_channels(&mut self) {
         let queued: usize = self.channels.iter().map(|c| c.queue.len()).sum();
         let busy = self.channels.iter().filter(|c| !c.queue.is_empty()).count();
-        let banks = self.config.banks_per_rank();
-        let injectors: Vec<Option<&mut FaultInjector>> = if self.injectors.is_empty() {
-            (0..self.channels.len()).map(|_| None).collect()
-        } else {
-            self.injectors.iter_mut().map(Some).collect()
-        };
+        // Either one injector lane per channel or none at all.
+        let mut injectors = self.injectors.iter_mut();
         let config = &self.config;
         let workers: Vec<ChannelWorker<'_>> = self
             .channels
             .iter_mut()
-            .zip(injectors)
             .enumerate()
-            .map(|(ch, (state, injector))| ChannelWorker {
+            .map(|(ch, state)| ChannelWorker {
                 config,
                 ch,
                 state,
-                injector,
-                out: ChannelOutcome::new(ch, banks),
+                injector: injectors.next(),
             })
             .collect();
         let threads = crate::parallel::threads().min(busy.max(1));
         if threads <= 1 || queued < PAR_MIN_QUEUED_BURSTS {
-            workers.into_iter().map(ChannelWorker::run).collect()
+            workers.into_iter().for_each(|w| w.run(false));
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = workers
                     .into_iter()
-                    .map(|w| scope.spawn(move || w.run()))
+                    .map(|w| scope.spawn(move || w.run(false)))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
+                for h in handles {
+                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                }
+            });
         }
     }
 
@@ -692,17 +723,18 @@ impl MemorySystem {
     /// `enabled == false`; callers should treat that as "not audited",
     /// not as "clean" (see [`audit::AuditReport::is_clean`]).
     ///
-    /// Sound at a `service_all` boundary. Audit state is per-process:
-    /// a system restored from a snapshot re-seeds its mirrors from the
-    /// image and audits from that point on.
+    /// Sound at a `service_all` boundary. A system restored from a
+    /// snapshot continues the image's tallies and re-seeds its mirrors
+    /// from the image's open rows and refresh epochs, so timing windows
+    /// that straddle the snapshot go unchecked.
     pub fn audit_report(&self, expect_drained: bool) -> audit::AuditReport {
         #[cfg(feature = "audit")]
         {
             let mut report = audit::AuditReport {
                 enabled: true,
-                commands_checked: self.audit.commands,
-                refresh_events: self.audit.refreshes,
-                violations: self.audit.violations.clone(),
+                commands_checked: self.audit.tally.commands,
+                refresh_events: self.audit.tally.refreshes,
+                violations: self.audit.tally.violations.clone(),
             };
             self.check_retirement(expect_drained, &mut report);
             self.check_energy(&mut report);
@@ -804,7 +836,7 @@ impl MemorySystem {
             (
                 "refresh_pj",
                 s.energy.refresh_pj - self.audit.refresh_pj_base,
-                self.audit.refreshes as f64 * e.refresh_pj,
+                self.audit.tally.refreshes as f64 * e.refresh_pj,
             ),
             (
                 "background_pj",
@@ -836,66 +868,31 @@ impl MemorySystem {
 /// paths run the same worker code and ordered merge.
 const PAR_MIN_QUEUED_BURSTS: usize = 2048;
 
-/// Everything one channel's service loop produced, accumulated locally
-/// on whatever thread ran it and folded into the shared system state in
-/// fixed channel order at the `try_service_all` barrier.
-struct ChannelOutcome {
-    ch: usize,
-    /// Stats delta for this service call (`elapsed_cycles` is the local
-    /// max finish; [`MemoryStats::merge`] max-merges it).
-    stats: MemoryStats,
-    /// Fault-accounting delta.
-    fault_stats: FaultStats,
-    latency_hist: obs::Histogram,
-    queue_depth_hist: obs::Histogram,
-    bank_act_tally: Vec<u64>,
-    /// `(request index, data_start, finish)` per serviced burst, in
-    /// service order.
-    bursts: Vec<(usize, u64, u64)>,
-    /// Closed activity windows: `(linear rank, start cycle, duration)`.
-    slices: Vec<(usize, u64, u64)>,
-    /// Abort raised by the fault pipeline, if any; bursts serviced
-    /// before it keep their timeline effects.
-    error: Option<FaultError>,
-}
-
-impl ChannelOutcome {
-    fn new(ch: usize, banks: usize) -> Self {
-        ChannelOutcome {
-            ch,
-            stats: MemoryStats::default(),
-            fault_stats: FaultStats::default(),
-            latency_hist: obs::Histogram::new(),
-            queue_depth_hist: obs::Histogram::new(),
-            bank_act_tally: vec![0; banks],
-            bursts: Vec::new(),
-            slices: Vec::new(),
-            error: None,
-        }
-    }
-}
-
 /// One channel's FR-FCFS service loop, detached from the shared
 /// [`MemorySystem`] so it can run on any thread: it holds mutable
 /// access to exactly its channel's state (and that channel's injector
-/// lane) and accumulates everything shared into a private
-/// [`ChannelOutcome`]. Telemetry is buffered in the outcome — workers
-/// never touch the global registry, which keeps the registry contents
+/// lane) and accumulates everything shared in that state, for the
+/// ordered merge. Telemetry is buffered there too — workers never
+/// touch the global registry, which keeps the registry contents
 /// independent of thread scheduling.
 struct ChannelWorker<'a> {
     config: &'a DramConfig,
     ch: usize,
     state: &'a mut ChannelState,
     injector: Option<&'a mut FaultInjector>,
-    out: ChannelOutcome,
 }
 
 impl ChannelWorker<'_> {
-    fn run(mut self) -> ChannelOutcome {
-        if let Err(e) = self.service() {
-            self.out.error = Some(e);
+    /// Services the channel — while its window is full when
+    /// `streaming`, else its whole queue — unless an earlier abort
+    /// parked it; a new abort parks it until the merge reports it.
+    fn run(mut self, streaming: bool) {
+        if self.state.service.error.is_some() {
+            return;
         }
-        self.out
+        if let Err(e) = self.service(streaming) {
+            self.state.service.error = Some(e);
+        }
     }
 
     /// Global rank index of a burst, unique across channels (used to
@@ -906,8 +903,9 @@ impl ChannelWorker<'_> {
     }
 
     fn record_serviced(&mut self, id: RequestId, data_start: u64, finish: u64) {
-        self.out.bursts.push((id.0, data_start, finish));
-        self.out.stats.elapsed_cycles = self.out.stats.elapsed_cycles.max(finish);
+        self.state.retired.push((id.0, data_start, finish));
+        let stats = &mut self.state.service.stats;
+        stats.elapsed_cycles = stats.elapsed_cycles.max(finish);
     }
 
     /// The FR-FCFS service loop. With an injector attached, every burst
@@ -915,29 +913,46 @@ impl ChannelWorker<'_> {
     /// and a watchdog bounds no-progress rounds once only stalled-rank
     /// bursts remain; without one, the loop only picks, issues and
     /// records.
-    fn service(&mut self) -> Result<(), FaultError> {
+    ///
+    /// `streaming` service (from `enqueue`) picks only while a full
+    /// scheduling window is queued. [`ChannelWorker::pick_fr_fcfs`]
+    /// reads only that window and `enqueue` only appends, so each pick
+    /// — and so each issue cycle and fault draw — is the one a service
+    /// of the whole batch makes at that point. It stops before a pick
+    /// on a stalled rank, because the batch rotates that burst behind
+    /// bursts not yet enqueued; the window and the bank state do not
+    /// change while it waits, so the drain in `service_all` takes up
+    /// the batch's sequence there, watchdog included.
+    fn service(&mut self, streaming: bool) -> Result<(), FaultError> {
+        let min_queued = if streaming {
+            self.config.sched_window.max(1)
+        } else {
+            1
+        };
         let mut faults = self.injector.take().map(|injector| {
             let watchdog = Watchdog::new(injector.config().watchdog_limit);
             (injector, watchdog)
         });
-        while !self.state.queue.is_empty() {
-            self.out
-                .queue_depth_hist
-                .record(self.state.queue.len() as u64);
+        while self.state.queue.len() >= min_queued {
+            let depth = self.state.queue.len() as u64;
             let pick = self.pick_fr_fcfs();
             if let Some((injector, watchdog)) = faults.as_mut() {
                 let b = &self.state.queue[pick];
                 let bus_only = matches!(b.locality, Locality::Broadcast | Locality::DirectSend);
                 if !bus_only && injector.rank_is_stalled(self.global_rank(b)) {
+                    if streaming {
+                        break;
+                    }
                     // A permanently stalled rank never retires its
                     // bursts: rotate to the back of the queue and count
                     // a no-progress round. Without the watchdog this
                     // loop would spin forever once only stalled-rank
                     // bursts remain.
+                    self.state.telemetry.queue_depth.record(depth);
                     let b = self.state.queue.remove(pick).expect("pick in range");
                     self.state.queue.push_back(b);
                     if watchdog.stall() {
-                        self.out.fault_stats.watchdog_trips += 1;
+                        self.state.service.fault_stats.watchdog_trips += 1;
                         let mut stuck: Vec<u64> =
                             self.state.queue.iter().map(|b| b.id.0 as u64).collect();
                         stuck.sort_unstable();
@@ -952,6 +967,7 @@ impl ChannelWorker<'_> {
                     continue;
                 }
             }
+            self.state.telemetry.queue_depth.record(depth);
             let burst = self.state.queue.remove(pick).expect("pick in range");
             let (data_start, mut finish) = self.issue_burst(&burst);
             if let Some((injector, watchdog)) = faults.as_mut() {
@@ -994,25 +1010,25 @@ impl ChannelWorker<'_> {
         if burst.kind == RequestKind::Read {
             let flips = injector.next_read_flips();
             if flips > 0 {
-                self.out.fault_stats.injected_bit_flips += u64::from(flips);
+                self.state.service.fault_stats.injected_bit_flips += u64::from(flips);
                 let mut outcome = ecc::outcome_for_flips(flips);
                 let mut attempt = 0u32;
                 loop {
                     match outcome {
                         EccOutcome::Clean => break,
                         EccOutcome::Corrected => {
-                            self.out.fault_stats.ecc_corrected += 1;
+                            self.state.service.fault_stats.ecc_corrected += 1;
                             break;
                         }
                         EccOutcome::SilentMiss => {
-                            self.out.fault_stats.ecc_silent_miss += 1;
+                            self.state.service.fault_stats.ecc_silent_miss += 1;
                             break;
                         }
                         EccOutcome::DetectedUncorrectable => {
-                            self.out.fault_stats.ecc_detected += 1;
+                            self.state.service.fault_stats.ecc_detected += 1;
                             let cfg = injector.config();
                             if attempt >= cfg.retry_limit {
-                                self.out.fault_stats.mem_errors += 1;
+                                self.state.service.fault_stats.mem_errors += 1;
                                 return Err(MemError {
                                     request: burst.id.0 as u64,
                                     rank: global_rank,
@@ -1024,12 +1040,13 @@ impl ChannelWorker<'_> {
                             }
                             // Bounded retry with exponential backoff,
                             // then a full re-read of the column.
-                            self.out.fault_stats.read_retries += 1;
+                            self.state.service.fault_stats.read_retries += 1;
                             extra += (cfg.retry_backoff_cycles << attempt) + t.t_cl + t.t_bl;
                             attempt += 1;
                             let reflips = injector.next_read_flips();
                             if reflips > 0 {
-                                self.out.fault_stats.injected_bit_flips += u64::from(reflips);
+                                self.state.service.fault_stats.injected_bit_flips +=
+                                    u64::from(reflips);
                             }
                             outcome = ecc::outcome_for_flips(reflips);
                         }
@@ -1040,18 +1057,18 @@ impl ChannelWorker<'_> {
 
         // --- Persistent stuck-at faults: remap to spares. ---
         if injector.bank_is_failed(global_rank, bank) {
-            self.out.fault_stats.bank_remaps += 1;
+            self.state.service.fault_stats.bank_remaps += 1;
             extra += t.t_rc;
         } else if injector.row_is_stuck(global_rank, bank, burst.row) {
-            self.out.fault_stats.row_remaps += 1;
+            self.state.service.fault_stats.row_remaps += 1;
             extra += t.t_rp + t.t_rcd;
         }
 
         // --- Transient rank-AU stalls. ---
         let stall = injector.next_stall_cycles(global_rank as u64);
         if stall > 0 {
-            self.out.fault_stats.stall_events += 1;
-            self.out.fault_stats.stall_cycles += stall;
+            self.state.service.fault_stats.stall_events += 1;
+            self.state.service.fault_stats.stall_cycles += stall;
             extra += stall;
         }
         Ok(extra)
@@ -1084,21 +1101,20 @@ impl ChannelWorker<'_> {
             let data_start = self.state.bus_free.max(burst.arrival);
             let finish = data_start + t.t_bl;
             self.state.bus_free = finish;
-            self.out.stats.writes += 1;
-            self.out.stats.channel_bus_busy_cycles += t.t_bl;
-            self.out.stats.channel_bytes += self.config.burst_bytes as u64;
+            self.state.service.stats.writes += 1;
+            self.state.service.stats.channel_bus_busy_cycles += t.t_bl;
+            self.state.service.stats.channel_bytes += self.config.burst_bytes as u64;
             if burst.locality == Locality::Broadcast {
-                self.out.stats.broadcast_transfers += 1;
-                self.out.stats.energy.broadcast_io_pj +=
+                self.state.service.stats.broadcast_transfers += 1;
+                self.state.service.stats.energy.broadcast_io_pj +=
                     bits * e.io_pj_per_bit * e.broadcast_io_factor;
             } else {
-                self.out.stats.energy.io_pj += bits * e.io_pj_per_bit;
+                self.state.service.stats.energy.io_pj += bits * e.io_pj_per_bit;
             }
-            self.state.tally.bursts += 1;
-            self.state.tally.bytes += self.config.burst_bytes as u64;
-            self.out
-                .latency_hist
-                .record(finish.saturating_sub(burst.arrival));
+            let tally = &mut self.state.telemetry;
+            tally.bursts += 1;
+            tally.bytes += self.config.burst_bytes as u64;
+            tally.latency.record(finish.saturating_sub(burst.arrival));
             self.state.checker.observe_bus_only(data_start, finish);
             return (data_start, finish);
         }
@@ -1126,7 +1142,7 @@ impl ChannelWorker<'_> {
                     bank.open_row = None;
                     bank.next_act = bank.next_act.max(resume);
                 }
-                self.out.stats.energy.refresh_pj += refreshes as f64 * e.refresh_pj;
+                self.state.service.stats.energy.refresh_pj += refreshes as f64 * e.refresh_pj;
                 self.state
                     .checker
                     .observe_refresh(rank_idx, epoch, refreshes, resume, &t);
@@ -1156,7 +1172,7 @@ impl ChannelWorker<'_> {
                     pre
                 };
                 act_earliest = act_earliest.max(pre + t.t_rp);
-                self.out.stats.precharges += 1;
+                self.state.service.stats.precharges += 1;
                 self.state.checker.observe_pre(rank_idx, bank_idx, pre, &t);
             }
             // Rank-level activation constraints.
@@ -1187,14 +1203,14 @@ impl ChannelWorker<'_> {
             while rank.act_window.len() > 4 {
                 rank.act_window.pop_front();
             }
-            self.out.stats.activates += 1;
-            self.out.stats.row_misses += 1;
-            self.out.stats.energy.activate_pj += e.act_pre_pj;
+            self.state.service.stats.activates += 1;
+            self.state.service.stats.row_misses += 1;
+            self.state.service.stats.energy.activate_pj += e.act_pre_pj;
             self.state
                 .checker
                 .observe_act(rank_idx, bank_idx, group, row, act, &t);
         } else {
-            self.out.stats.row_hits += 1;
+            self.state.service.stats.row_hits += 1;
         }
 
         // --- Column command. ---
@@ -1225,9 +1241,9 @@ impl ChannelWorker<'_> {
         if burst.kind == RequestKind::Write {
             let bank = &mut rank.banks[bank_idx];
             bank.next_pre = bank.next_pre.max(finish + t.t_wr);
-            self.out.stats.writes += 1;
+            self.state.service.stats.writes += 1;
         } else {
-            self.out.stats.reads += 1;
+            self.state.service.stats.reads += 1;
         }
         self.state.checker.observe_col(
             rank_idx,
@@ -1245,36 +1261,33 @@ impl ChannelWorker<'_> {
         match burst.locality {
             Locality::Channel => {
                 self.state.bus_free = finish;
-                self.out.stats.channel_bus_busy_cycles += t.t_bl;
-                self.out.stats.channel_bytes += self.config.burst_bytes as u64;
-                self.out.stats.energy.io_pj += bits * e.io_pj_per_bit;
+                self.state.service.stats.channel_bus_busy_cycles += t.t_bl;
+                self.state.service.stats.channel_bytes += self.config.burst_bytes as u64;
+                self.state.service.stats.energy.io_pj += bits * e.io_pj_per_bit;
             }
             Locality::RankLocal => {
                 let rank = &mut self.state.ranks[rank_idx];
                 rank.local_bus_free = finish;
-                self.out.stats.local_bus_busy_cycles += t.t_bl;
-                self.out.stats.local_bytes += self.config.burst_bytes as u64;
-                self.out.stats.energy.local_io_pj += bits * e.local_pj_per_bit;
+                self.state.service.stats.local_bus_busy_cycles += t.t_bl;
+                self.state.service.stats.local_bytes += self.config.burst_bytes as u64;
+                self.state.service.stats.energy.local_io_pj += bits * e.local_pj_per_bit;
             }
             Locality::Broadcast | Locality::DirectSend => unreachable!(),
         }
-        self.out.stats.energy.array_pj += bits * e.array_pj_per_bit;
+        self.state.service.stats.energy.array_pj += bits * e.array_pj_per_bit;
 
-        self.out
-            .latency_hist
-            .record(finish.saturating_sub(burst.arrival));
-        if !hit {
-            self.out.bank_act_tally[bank_idx] += 1;
-        }
-        self.state.tally.bursts += 1;
-        self.state.tally.bytes += self.config.burst_bytes as u64;
+        let tally = &mut self.state.telemetry;
+        tally.latency.record(finish.saturating_sub(burst.arrival));
+        tally.bursts += 1;
+        tally.bytes += self.config.burst_bytes as u64;
         if hit {
-            self.state.tally.row_hits += 1;
+            tally.row_hits += 1;
         } else {
-            self.state.tally.row_misses += 1;
+            tally.bank_activates[bank_idx] += 1;
+            tally.row_misses += 1;
         }
         let rank = &mut self.state.ranks[rank_idx];
-        rank.busy_tally += t.t_bl;
+        rank.busy_cycles += t.t_bl;
         // Coalesce per-rank busy windows into gap-merged segments so
         // the simulated-time trace stays compact; closed windows are
         // buffered and emitted at the flush barrier.
@@ -1283,7 +1296,7 @@ impl ChannelWorker<'_> {
                 rank.activity = Some((s, e.max(finish)));
             }
             Some((s, e)) => {
-                self.out.slices.push((rank_idx, s, e - s));
+                self.state.slices.push((rank_idx, s, e - s));
                 rank.activity = Some((data_start, finish));
             }
             None => rank.activity = Some((data_start, finish)),
@@ -1295,11 +1308,10 @@ impl ChannelWorker<'_> {
 impl checkpoint::Snapshot for MemorySystem {
     type State = SystemState;
 
-    /// Captures the complete scheduler state.
-    ///
-    /// Sound only at a `service_all` boundary (the natural checkpoint
-    /// site): the telemetry-local accumulators are flushed there, so
-    /// dropping them from the image loses nothing.
+    /// Captures the complete scheduler state, including each channel's
+    /// service and telemetry since the last `service_all`, so an image
+    /// taken between any two calls resumes exactly (see
+    /// [`crate::snapshot`] for the trace events it leaves out).
     fn snapshot(&self) -> SystemState {
         SystemState {
             config: self.config,
@@ -1343,6 +1355,7 @@ impl checkpoint::Snapshot for MemorySystem {
                             next_col_group: r.next_col_group.clone(),
                             local_bus_free: r.local_bus_free,
                             refresh_epoch: r.refresh_epoch,
+                            busy_cycles: r.busy_cycles,
                         })
                         .collect(),
                     bus_free: ch.bus_free,
@@ -1357,8 +1370,15 @@ impl checkpoint::Snapshot for MemorySystem {
                             arrival: b.arrival,
                         })
                         .collect(),
+                    service: ch.service.clone(),
+                    telemetry: ch.telemetry.clone(),
+                    audit: ch.checker.tally(),
                 })
                 .collect(),
+            #[cfg(feature = "audit")]
+            audit: Some(self.audit.tally.clone()),
+            #[cfg(not(feature = "audit"))]
+            audit: None,
         }
     }
 }
@@ -1388,9 +1408,10 @@ impl checkpoint::Restore for MemorySystem {
                 state.pending.len()
             )));
         }
-        // Bursts each request still has queued, checked against the
-        // ledger below: servicing retires exactly one ledger burst per
-        // queued burst.
+        // Bursts each request still has in flight — queued, or hit by
+        // the abort that parked a channel — checked against the ledger
+        // below: servicing retires exactly one ledger burst per queued
+        // burst.
         let mut queued = vec![0usize; state.pending.len()];
         for (c, ch) in state.channels.iter().enumerate() {
             if ch.ranks.len() != ranks_per_channel {
@@ -1408,6 +1429,24 @@ impl checkpoint::Restore for MemorySystem {
                         "channel {c} rank {r}: bank/group layout disagrees with configuration"
                     )));
                 }
+            }
+            if ch.telemetry.bank_activates.len() != banks {
+                return Err(RestoreError::new(format!(
+                    "channel {c}: {} bank activate tallies, configuration expects {banks}",
+                    ch.telemetry.bank_activates.len()
+                )));
+            }
+            if let Some(FaultError::Mem(e)) = &ch.service.error {
+                let Some(n) = usize::try_from(e.request)
+                    .ok()
+                    .and_then(|id| queued.get_mut(id))
+                else {
+                    return Err(RestoreError::new(format!(
+                        "channel {c}: parked on unknown request {}",
+                        e.request
+                    )));
+                };
+                *n += 1;
             }
             for b in &ch.queue {
                 let Some(n) = queued.get_mut(b.id) else {
@@ -1488,7 +1527,7 @@ impl checkpoint::Restore for MemorySystem {
                         local_bus_free: r.local_bus_free,
                         refresh_epoch: r.refresh_epoch,
                         activity: None,
-                        busy_tally: 0,
+                        busy_cycles: r.busy_cycles,
                     })
                     .collect(),
                 bus_free: ch.bus_free,
@@ -1501,33 +1540,43 @@ impl checkpoint::Restore for MemorySystem {
                         Burst::new(id, loc, b.kind, b.locality, b.arrival, &self.config)
                     })
                     .collect(),
-                tally: ChanTally::default(),
+                service: ch.service.clone(),
+                telemetry: ch.telemetry.clone(),
+                slices: Vec::new(),
+                retired: Vec::new(),
                 checker: audit::ChannelChecker::new(ch_idx, ranks_per_channel, banks, groups),
                 #[cfg(feature = "audit")]
                 perturb: audit::Perturbation::None,
             })
             .collect();
-        // Audit state is per-process, not part of the image: the
-        // retirement ledger restarts from the pending set, the mirrors
-        // re-seed from the snapshot's open rows and refresh epochs,
-        // and the refresh-energy baseline absorbs pre-snapshot pJ so
-        // the closed form only covers refreshes this process observed.
+        // The image's audit tallies carry over; the retirement ledger
+        // restarts from the pending set, and the mirrors re-seed from
+        // the snapshot's open rows and refresh epochs. The
+        // refresh-energy baseline absorbs the pre-snapshot pJ —
+        // merged, or held by a channel's in-flight service — that the
+        // carried tallies do not count, so the closed form covers the
+        // refreshes some checker observed.
         #[cfg(feature = "audit")]
         {
+            let mut energy = state.stats.energy.refresh_pj;
+            let mut counted = state.audit.as_ref().map_or(0, |t| t.refreshes);
+            for ch in &state.channels {
+                energy += ch.service.stats.energy.refresh_pj;
+                counted += ch.audit.as_ref().map_or(0, |t| t.refreshes);
+            }
+            let tally = state.audit.clone().unwrap_or_default();
             self.audit = AuditAccum {
+                flushed_violations: tally.violations.len() as u64,
+                tally,
                 expected: state.pending.iter().map(|&(n, _, _)| n).collect(),
                 serviced: vec![0; state.pending.len()],
-                refresh_pj_base: state.stats.energy.refresh_pj,
-                ..AuditAccum::default()
+                refresh_pj_base: energy - counted as f64 * self.config.energy.refresh_pj,
             };
             for (ch_state, snap) in self.channels.iter_mut().zip(&state.channels) {
-                ch_state.checker.reseed(&snap.ranks);
+                let tally = snap.audit.clone().unwrap_or_default();
+                ch_state.checker.reseed(&snap.ranks, tally);
             }
         }
-        // Telemetry-only accumulators restart empty (see `snapshot`).
-        self.latency_hist = obs::Histogram::new();
-        self.queue_depth_hist = obs::Histogram::new();
-        self.bank_act_tally = vec![0; banks];
         Ok(())
     }
 }
@@ -1540,6 +1589,18 @@ mod tests {
     fn single_channel() -> DramConfig {
         DramConfig {
             channels: 1,
+            ..DramConfig::default()
+        }
+    }
+
+    /// The default topology with a scheduling window as wide as a
+    /// channel's share of a 4,096-burst batch. Its high-water mark of
+    /// four windows is never reached, so the whole batch waits for
+    /// `service_all`: enough queued work for the drain to fan out to
+    /// threads.
+    fn wide_window() -> DramConfig {
+        DramConfig {
+            sched_window: 1024,
             ..DramConfig::default()
         }
     }
@@ -2032,6 +2093,87 @@ mod tests {
         assert_eq!(all_completions(&reference), all_completions(&resumed));
     }
 
+    /// Snapshots in the middle of a streamed service: channel 0 holds a
+    /// partly serviced queue, channel 1 is parked on an uncorrectable
+    /// ECC error, and channel 2 is blocked behind a stalled rank. The
+    /// resumed system must finish exactly as the uninterrupted one:
+    /// same error, report, completions and final image.
+    #[test]
+    fn restore_mid_service_continues_timeline_exactly() {
+        use checkpoint::Snapshot;
+        let cfg = DramConfig::default();
+        let faults = FaultConfig {
+            seed: 5,
+            bit_flip_rate: 0.5,
+            retry_limit: 0,
+            stall_rate: 0.02,
+            stuck_row_rate: 0.05,
+            stalled_rank_mask: 1 << 8, // channel 2, rank 0
+            watchdog_limit: 200,
+            ..FaultConfig::off()
+        };
+        let mapper = AddressMapper::new(cfg);
+        let at = |channel, rank, column, row| {
+            mapper.compose(Location {
+                channel,
+                dimm: rank / 2,
+                rank: rank % 2,
+                bank_group: column % 4,
+                bank: row % 4,
+                row: row as u64,
+                column,
+            })
+        };
+        // Reads draw bit flips, so only channel 1 can abort on ECC.
+        let stream = |sys: &mut MemorySystem, rows: std::ops::Range<usize>| {
+            for row in rows {
+                for column in 0..8 {
+                    sys.enqueue(Request::local_write(at(0, row % 4, column, row), 64));
+                    sys.enqueue(Request::write(at(0, 3, column, row), 64));
+                    sys.enqueue(Request::read(at(1, row % 4, column, row), 64));
+                    sys.enqueue(Request::write(at(2, row % 2, column, row), 64));
+                    sys.enqueue(Request::local_write(at(3, row % 4, column, row), 128));
+                    sys.enqueue(Request::broadcast_write(at(3, 0, column, row), 64));
+                }
+            }
+        };
+        let mut reference = MemorySystem::with_faults(cfg, faults);
+        stream(&mut reference, 0..24);
+        let state = reference.snapshot();
+        let ch = &state.channels;
+        assert!(ch[0].service.stats.writes > 0, "channel 0 streamed");
+        assert!(
+            (15..64).contains(&ch[0].queue.len()),
+            "a window stays queued"
+        );
+        assert!(
+            matches!(ch[1].service.error, Some(FaultError::Mem(_))),
+            "channel 1 parked"
+        );
+        assert_eq!(
+            ch[2].queue.len(),
+            24 * 8,
+            "channel 2 blocked from its first pick"
+        );
+        assert_eq!(ch[2].service.stats, MemoryStats::default());
+        assert!(ch[3].telemetry.bursts > 0 && ch[3].telemetry.latency.count() > 0);
+
+        let json = serde_json::to_string(&state).expect("serializes");
+        let back: SystemState = serde_json::from_str(&json).expect("parses");
+        let mut resumed = MemorySystem::from_state(&back).expect("valid state");
+        assert_eq!(resumed.snapshot(), state);
+        stream(&mut reference, 24..48);
+        stream(&mut resumed, 24..48);
+        let a = reference.try_service_all();
+        let b = resumed.try_service_all();
+        assert!(matches!(a, Err(FaultError::Mem(_))), "{a:?}");
+        assert_eq!(a.map(|r| r.stats), b.map(|r| r.stats));
+        assert_eq!(reference.fault_stats(), resumed.fault_stats());
+        assert_eq!(reference.fault_stats().watchdog_trips, 1);
+        assert_eq!(all_completions(&reference), all_completions(&resumed));
+        assert_eq!(reference.snapshot(), resumed.snapshot());
+    }
+
     #[test]
     fn restore_rejects_config_mismatch() {
         use checkpoint::{Restore, Snapshot};
@@ -2199,9 +2341,15 @@ mod tests {
 
     /// Digest of the snapshot JSON of a fixed mixed stream — channel,
     /// rank-local, broadcast and direct-send traffic, several requests
-    /// multi-burst — serviced once and then enqueued again. Recorded
-    /// when queued bursts still stored their raw address, so it pins
-    /// the recomposed `addr` to the bytes the raw field produced.
+    /// multi-burst — serviced once and then enqueued again. First
+    /// recorded when queued bursts still stored their raw address, so
+    /// it pins the recomposed `addr` to the bytes the raw field
+    /// produced; re-recorded when channels began to carry their
+    /// in-flight service, after checking that the queues, the ledger
+    /// and the stats serialize to the same bytes as before (48 bursts
+    /// per channel stay below the high-water mark). An audited build's
+    /// image also carries its checker's tallies, so it has its own
+    /// digest.
     #[test]
     fn snapshot_bytes_match_the_golden_digest() {
         use checkpoint::Snapshot;
@@ -2224,15 +2372,92 @@ mod tests {
         sys.service_all();
         stream(&mut sys, 1 << 30);
         let json = serde_json::to_string(&sys.snapshot()).expect("serializes");
-        assert_eq!(checkpoint::fnv1a64(json.as_bytes()), 0x0bd3_18cb_1910_f7f2);
+        let golden = if cfg!(feature = "audit") {
+            0xfd56_274e_1bdc_a893
+        } else {
+            0x846a_a486_7130_24fc
+        };
+        assert_eq!(checkpoint::fnv1a64(json.as_bytes()), golden);
+    }
+
+    /// Digest of the reports, errors and every completion of a mixed
+    /// workload serviced in two rounds, fault-free, faulted and with a
+    /// stalled rank: channel, rank-local, broadcast and direct-send
+    /// bursts, multi-burst requests, row conflicts, arrivals past
+    /// tREFI, ECC retries, stuck-row and failed-bank remaps, and
+    /// watchdog trips. Each round queues about 1,200 bursts per
+    /// channel, so streamed service crosses the high-water mark many
+    /// times. Recorded when every burst still waited for the one
+    /// service call, so it pins streamed service to the batch's picks,
+    /// issue cycles and fault draws.
+    #[test]
+    fn streamed_service_matches_the_batch_digest() {
+        let faulted = FaultConfig {
+            seed: 23,
+            bit_flip_rate: 0.05,
+            stall_rate: 0.02,
+            stuck_row_rate: 0.02,
+            failed_bank_rate: 0.01,
+            retry_limit: 50,
+            ..FaultConfig::off()
+        };
+        let stalled = FaultConfig {
+            stalled_rank_mask: 1 << 5, // channel 1, rank 1
+            watchdog_limit: 500,
+            ..FaultConfig::off()
+        };
+        let mut record = String::new();
+        for faults in [FaultConfig::off(), faulted, stalled] {
+            let mut sys = MemorySystem::with_faults(DramConfig::default(), faults);
+            let t_refi = sys.config().timing.t_refi;
+            for round in 0..2u64 {
+                for i in 0..3000u64 {
+                    let addr = (round << 32) + i * 7 * 64 + ((i % 11) << 20);
+                    let req = match i % 8 {
+                        0 => Request::read(addr, 64),
+                        1 => Request::local_read(addr, 128),
+                        2 => Request::broadcast_write(addr, 64),
+                        3 => Request::local_write(addr, 64),
+                        4 => Request::write(addr, 256),
+                        5 => Request::direct_send(addr, 64),
+                        6 => Request::read((i % 32) * 4096, 64),
+                        _ => Request::local_read(addr, 64).at_cycle(i * t_refi / 1000),
+                    };
+                    sys.enqueue(req);
+                }
+                match sys.try_service_all() {
+                    Ok(_) if faults == stalled => panic!("the stalled rank must trip"),
+                    Ok(_) => {}
+                    Err(FaultError::Watchdog(e)) => record += &format!("{e:?}"),
+                    Err(e) => panic!("unexpected abort: {e}"),
+                }
+                record += &serde_json::to_string(sys.stats()).expect("serializes");
+                record += &serde_json::to_string(sys.fault_stats()).expect("serializes");
+            }
+            if faults == faulted {
+                let f = sys.fault_stats();
+                assert!(f.read_retries > 0 && f.row_remaps > 0 && f.bank_remaps > 0);
+            }
+            for c in all_completions(&sys) {
+                record += &match c {
+                    Some(c) => format!("{}:{}:{};", c.id.0, c.data_start, c.finish),
+                    None => "-;".to_string(),
+                };
+            }
+        }
+        assert_eq!(
+            checkpoint::fnv1a64(record.as_bytes()),
+            0x9b0e_b4b2_1d9f_9d6a
+        );
     }
 
     #[test]
     fn thread_budget_does_not_change_results() {
         // Enough queued bursts to clear the spawn threshold, spread
-        // over every channel. The fault-free config detaches the
-        // injectors (the plain service path); the active one exercises
-        // the per-channel injector lanes and the fault pipeline.
+        // over every channel and held back from streaming by the wide
+        // window. The fault-free config detaches the injectors (the
+        // plain service path); the active one exercises the
+        // per-channel injector lanes and the fault pipeline.
         let faulted = FaultConfig {
             seed: 11,
             bit_flip_rate: 0.002,
@@ -2242,7 +2467,7 @@ mod tests {
         for faults in [FaultConfig::off(), faulted] {
             let run_with = |threads: usize| {
                 crate::parallel::set_threads(threads);
-                let mut sys = MemorySystem::with_faults(DramConfig::default(), faults);
+                let mut sys = MemorySystem::with_faults(wide_window(), faults);
                 for i in 0..4096u64 {
                     if i % 3 == 0 {
                         sys.enqueue(Request::write(i * 64, 64));
@@ -2306,10 +2531,11 @@ mod tests {
 
         /// A workload that exercises every command class the checker
         /// knows: row hits/misses/conflicts, reads and writes, all four
-        /// localities, multi-burst requests, and periodic refresh.
-        fn mixed_workload(sys: &mut MemorySystem) {
+        /// localities, multi-burst requests, and periodic refresh. The
+        /// whole workload is requests `0..512`.
+        fn mixed_workload(sys: &mut MemorySystem, requests: std::ops::Range<u64>) {
             let t = sys.config().timing;
-            for i in 0..512u64 {
+            for i in requests {
                 match i % 7 {
                     0 => sys.enqueue(Request::write(i * 4096, 64)),
                     1 => sys.enqueue(Request::local_read(i * 64, 128)),
@@ -2327,7 +2553,7 @@ mod tests {
         #[test]
         fn audit_is_clean_on_a_mixed_workload() {
             let mut sys = MemorySystem::new(single_channel());
-            mixed_workload(&mut sys);
+            mixed_workload(&mut sys, 0..512);
             sys.service_all();
             let report = sys.audit_report(true);
             assert!(report.is_clean(), "{}", report.summary());
@@ -2361,7 +2587,7 @@ mod tests {
         fn audit_report_identical_at_every_thread_count() {
             let run_with = |threads: usize| {
                 crate::parallel::set_threads(threads);
-                let mut sys = MemorySystem::new(DramConfig::default());
+                let mut sys = MemorySystem::new(wide_window());
                 for i in 0..4096u64 {
                     if i % 3 == 0 {
                         sys.enqueue(Request::write(i * 64, 64));
@@ -2383,7 +2609,7 @@ mod tests {
         fn audit_survives_snapshot_restore() {
             use checkpoint::Snapshot;
             let mut sys = MemorySystem::new(single_channel());
-            mixed_workload(&mut sys);
+            mixed_workload(&mut sys, 0..512);
             sys.service_all();
             let state = sys.snapshot();
             let mut resumed = MemorySystem::from_state(&state).expect("valid state");
@@ -2395,6 +2621,29 @@ mod tests {
             let report = resumed.audit_report(true);
             assert!(report.is_clean(), "{}", report.summary());
             assert!(report.commands_checked > 64);
+        }
+
+        #[test]
+        fn audit_of_a_run_resumed_mid_service_covers_the_whole_run() {
+            use checkpoint::Snapshot;
+            let mut straight = MemorySystem::new(single_channel());
+            mixed_workload(&mut straight, 0..512);
+            straight.service_all();
+            let expected = straight.audit_report(true);
+            assert!(expected.is_clean(), "{}", expected.summary());
+
+            let mut sys = MemorySystem::new(single_channel());
+            mixed_workload(&mut sys, 0..400);
+            let state = sys.snapshot();
+            // Streamed bursts, a refresh among them, await the merge.
+            let service = &state.channels[0].service;
+            assert!(service.stats.reads > 0 && service.stats.energy.refresh_pj > 0.0);
+            let json = serde_json::to_string(&state).expect("serializes");
+            let back: SystemState = serde_json::from_str(&json).expect("parses");
+            let mut resumed = MemorySystem::from_state(&back).expect("valid state");
+            mixed_workload(&mut resumed, 400..512);
+            resumed.service_all();
+            assert_eq!(resumed.audit_report(true), expected);
         }
 
         #[test]

@@ -116,8 +116,7 @@ struct VisitDelta {
 /// function of the run's immutable inputs. The hardware analogue is
 /// one CarPU wave on the vertex's home DIMM: the walk emits prefix-tree
 /// nodes, the rank-AU aggregates, and the reserved region is recycled
-/// when the wave completes (so `base_slot` is both the first slot used
-/// and the slot watermark after the visit).
+/// when the wave completes, so every wave fills it from slot 0.
 #[allow(clippy::too_many_arguments)]
 fn compute_visit(
     cfg: &NmpConfig,
@@ -126,7 +125,6 @@ fn compute_visit(
     kind: ModelKind,
     ctx: &PathCtx<'_>,
     placement: &Placement,
-    base_slot: u64,
     start: u32,
     scratch: &mut VisitScratch,
 ) -> Result<VisitDelta, NmpError> {
@@ -170,7 +168,7 @@ fn compute_visit(
         channel: home.channel,
         row: None,
     };
-    let mut next_slot = base_slot;
+    let mut next_slot = 0;
     let mut n_inst: u64 = 0;
     let mut row_out: Option<Vec<f32>> = None;
 
@@ -338,7 +336,7 @@ fn compute_visit(
             if cfg.reuse || kind == ModelKind::Magnn {
                 delta.requests.extend(placement.rank_vec(
                     home,
-                    placement.agg_offset(base_slot),
+                    placement.agg_offset(0),
                     (n_inst as usize).max(1) * vb,
                     false,
                 ));
@@ -382,20 +380,13 @@ fn compute_batch(
     kind: ModelKind,
     ctx: &PathCtx<'_>,
     placement: &Placement,
-    slots: &[u64],
     first: u32,
     count: u32,
 ) -> Result<Vec<VisitDelta>, NmpError> {
     let visit_range = |starts: std::ops::Range<u32>| {
         let scratch = &mut VisitScratch::new(ctx.hops, cfg.hidden_dim);
         starts
-            .map(|start| {
-                let home = placement.home(ctx.t0.index() as u8, start);
-                let base_slot = slots[home.global_rank(&cfg.dram)];
-                compute_visit(
-                    cfg, graph, hidden, kind, ctx, placement, base_slot, start, scratch,
-                )
-            })
+            .map(|start| compute_visit(cfg, graph, hidden, kind, ctx, placement, start, scratch))
             .collect::<Result<Vec<_>, _>>()
     };
     let end = first + count;
@@ -486,18 +477,24 @@ struct PathCtx<'a> {
 /// tallies, the structural matrices, and a cursor
 /// `(metapath index, next start vertex)`. [`ResumableRun::step`]
 /// advances the cursor by at most `budget` start vertices and reports
-/// whether the structural phase is complete;
-/// [`ResumableRun::finish`] then performs semantic aggregation, DRAM
-/// service, and timing/energy composition.
+/// whether the structural phase is complete. Each visit's DRAM requests
+/// enter the scheduler as the visit is applied, and the scheduler
+/// services a channel whenever its queue reaches the high-water mark
+/// (see [`MemorySystem::enqueue`]), so the DRAM queues stay short
+/// however long the run. [`ResumableRun::finish`] then performs
+/// semantic aggregation, drains the DRAM queues, and composes timing
+/// and energy.
 ///
 /// Between steps the run can be captured with
 /// [`checkpoint::Snapshot::snapshot`] and later rebuilt with
-/// [`ResumableRun::from_state`]. A restored run replays the exact
-/// operation sequence of an uninterrupted one — same walk order, same
-/// fault schedule, same floating-point accumulation order — so the
-/// final [`FunctionalRun`] is bit-identical. This is the §4.4
-/// exception-recovery mechanism: a crashed or preempted run resumes
-/// from its last snapshot instead of starting over.
+/// [`ResumableRun::from_state`]. The image includes the DRAM service in
+/// flight: each channel's statistics, fault tallies and telemetry since
+/// the last merge, and an abort that parked a channel. A restored run
+/// replays the exact operation sequence of an uninterrupted one — same
+/// walk order, same fault schedule, same floating-point accumulation
+/// order — so the final [`FunctionalRun`] is bit-identical. This is the
+/// §4.4 exception-recovery mechanism: a crashed or preempted run
+/// resumes from its last snapshot instead of starting over.
 #[derive(Debug)]
 pub struct ResumableRun {
     config: NmpConfig,
@@ -507,7 +504,6 @@ pub struct ResumableRun {
     counts: NmpCounts,
     gen: Vec<u64>,
     compute: Vec<u64>,
-    slots: Vec<u64>,
     bus: BusTraffic,
     host_extra_cycles: u64,
     structural: Vec<Matrix>,
@@ -537,7 +533,6 @@ impl ResumableRun {
             counts: NmpCounts::default(),
             gen: vec![0u64; dimms],
             compute: vec![0u64; ranks],
-            slots: vec![0u64; ranks],
             bus: BusTraffic::new(config.dram.channels),
             host_extra_cycles: 0,
             structural: Vec::new(),
@@ -596,7 +591,10 @@ impl ResumableRun {
     /// analytic estimate snapshots these to preserve the recovery work
     /// recorded before the abort (the DRAM layer tallies the fatal
     /// trip itself — `watchdog_trips` / `mem_errors` — before
-    /// erroring).
+    /// erroring). The DRAM counters cover the service merged so far,
+    /// which is none before `finish`: bursts serviced while stepping
+    /// keep their tallies in their channels until the drain merges
+    /// them.
     pub fn fault_stats(&self) -> FaultStats {
         fault_tallies(&self.mem, &self.bcast_stats)
     }
@@ -651,7 +649,6 @@ impl ResumableRun {
                     kind,
                     &ctx,
                     &placement,
-                    &self.slots,
                     self.next_start,
                     batch,
                 )?;
@@ -748,7 +745,10 @@ impl ResumableRun {
     }
 
     /// Completes the run: semantic (inter-path) aggregation, CarPU
-    /// stall injection, DRAM service, and timing/energy composition.
+    /// stall injection, the rest of the DRAM service (the queued tail,
+    /// watchdog trips, and the channel-order merge of everything the
+    /// channels serviced while stepping), and timing/energy
+    /// composition.
     ///
     /// # Errors
     ///
@@ -766,11 +766,13 @@ impl ResumableRun {
     /// Like [`finish`](Self::finish), but a failure also returns the
     /// fault tallies accumulated up to the abort.
     ///
-    /// The DRAM service — where injected faults, ECC corrections,
-    /// retries, and the fatal watchdog/ECC trip itself are tallied —
-    /// runs inside completion, after the run has been consumed. A
-    /// driver that degrades to an analytic estimate on a fatal fault
-    /// uses this variant so the recovery record survives the abort.
+    /// The DRAM layer's fault tallies — injected faults, ECC
+    /// corrections, retries, and the fatal watchdog/ECC trip itself —
+    /// reach its counters at the merge inside completion, after the run
+    /// has been consumed; an ECC abort met while stepping parks its
+    /// channel and surfaces there too. A driver that degrades to an
+    /// analytic estimate on a fatal fault uses this variant so the
+    /// recovery record survives the abort.
     ///
     /// The pair is boxed to keep the common `Ok` path's return slot
     /// small.
@@ -798,7 +800,6 @@ impl ResumableRun {
             mut counts,
             mut gen,
             mut compute,
-            slots: _,
             mut bus,
             mut host_extra_cycles,
             structural,
@@ -1024,7 +1025,6 @@ impl checkpoint::Snapshot for ResumableRun {
             counts: self.counts,
             gen: self.gen.clone(),
             compute: self.compute.clone(),
-            slots: self.slots.clone(),
             normal_bytes: self.bus.normal.clone(),
             broadcast_bytes: self.bus.broadcast.clone(),
             edge_bytes: self.bus.edge.clone(),
@@ -1049,7 +1049,7 @@ impl checkpoint::Restore for ResumableRun {
         let dimms = self.config.dram.total_dimms();
         let ranks = self.config.dram.total_ranks();
         let channels = self.config.dram.channels;
-        if state.gen.len() != dimms || state.compute.len() != ranks || state.slots.len() != ranks {
+        if state.gen.len() != dimms || state.compute.len() != ranks {
             return Err(RestoreError::new(format!(
                 "per-unit cycle vectors do not match the topology ({dimms} dimms, {ranks} ranks)"
             )));
@@ -1096,7 +1096,6 @@ impl checkpoint::Restore for ResumableRun {
         self.counts = state.counts;
         self.gen.clone_from(&state.gen);
         self.compute.clone_from(&state.compute);
-        self.slots.clone_from(&state.slots);
         self.bus.normal.clone_from(&state.normal_bytes);
         self.bus.broadcast.clone_from(&state.broadcast_bytes);
         self.bus.edge.clone_from(&state.edge_bytes);
@@ -1500,48 +1499,55 @@ mod tests {
     fn chunked_stepping_with_snapshots_is_byte_identical() {
         use faultsim::FaultConfig;
         let (ds, h) = setup(0.005, 16);
-        let cfg = nmp_config(16).with_faults(FaultConfig {
+        let faulted = FaultConfig {
             seed: 9,
             bit_flip_rate: 0.01,
             broadcast_drop_rate: 0.2,
             stall_rate: 0.05,
             ..FaultConfig::off()
-        });
-        let straight = FunctionalSim::new(cfg)
-            .run(&ds.graph, &h, ModelKind::Magnn, &ds.metapaths)
-            .unwrap();
-
-        // Step in chunks; at every boundary rebuild the run from its
-        // snapshot, and every few boundaries push the snapshot through
-        // JSON too — exactly what a kill-and-resume does. (The DRAM
-        // request log grows with progress, so serializing at *every*
-        // boundary would make this test quadratic in request count.)
-        let mut run = ResumableRun::new(cfg);
-        let mut boundary = 0u32;
-        loop {
-            let done = run
-                .step(&ds.graph, &h, ModelKind::Magnn, &ds.metapaths, 7)
+        };
+        for faults in [FaultConfig::off(), faulted] {
+            let cfg = nmp_config(16).with_faults(faults);
+            let straight = FunctionalSim::new(cfg)
+                .run(&ds.graph, &h, ModelKind::Magnn, &ds.metapaths)
                 .unwrap();
-            let state = checkpoint::Snapshot::snapshot(&run);
-            let state = if boundary.is_multiple_of(5) || done {
-                let json = serde_json::to_string(&state).unwrap();
-                serde_json::from_str::<FunctionalState>(&json).unwrap()
-            } else {
-                state
-            };
-            run = ResumableRun::from_state(&state).unwrap();
-            boundary += 1;
-            if done {
-                break;
+
+            // Step in chunks; at every boundary rebuild the run from its
+            // snapshot, and every few boundaries push the snapshot
+            // through JSON too — exactly what a kill-and-resume does.
+            let mut run = ResumableRun::new(cfg);
+            let mut boundary = 0u32;
+            let mut mid_service = false;
+            loop {
+                let done = run
+                    .step(&ds.graph, &h, ModelKind::Magnn, &ds.metapaths, 7)
+                    .unwrap();
+                let state = checkpoint::Snapshot::snapshot(&run);
+                // Fewer bursts queued than requests issued: streaming
+                // service has run, and the image holds its partial sums.
+                let queued: usize = state.mem.channels.iter().map(|c| c.queue.len()).sum();
+                mid_service |= queued < state.mem.next_id;
+                let state = if boundary.is_multiple_of(5) || done {
+                    let json = serde_json::to_string(&state).unwrap();
+                    serde_json::from_str::<FunctionalState>(&json).unwrap()
+                } else {
+                    state
+                };
+                run = ResumableRun::from_state(&state).unwrap();
+                boundary += 1;
+                if done {
+                    break;
+                }
             }
+            assert!(mid_service, "no snapshot fell in the middle of a service");
+            let resumed = run.finish(&ds.graph, &ds.metapaths).unwrap();
+            assert_eq!(resumed.report, straight.report);
+            assert_eq!(
+                resumed.embeddings.max_abs_diff(&straight.embeddings),
+                0.0,
+                "resumed embeddings must be bit-identical"
+            );
         }
-        let resumed = run.finish(&ds.graph, &ds.metapaths).unwrap();
-        assert_eq!(resumed.report, straight.report);
-        assert_eq!(
-            resumed.embeddings.max_abs_diff(&straight.embeddings),
-            0.0,
-            "resumed embeddings must be bit-identical"
-        );
     }
 
     /// Pins the JSON bytes of a mid-run [`FunctionalState`], the payload
@@ -1572,7 +1578,13 @@ mod tests {
         assert!(state.injector.is_some() && state.mem.injector.is_some());
         assert!(state.current.is_some() && state.structural.len() == 1);
         let json = serde_json::to_string(&state).unwrap();
-        assert_eq!(checkpoint::fnv1a64(json.as_bytes()), 0xb81f_75b8_1313_caf5);
+        // An audited build's image also carries its checker's tallies.
+        let golden = if cfg!(feature = "audit") {
+            0xe4e0_fd0c_0cc3_71fa
+        } else {
+            0x3005_4cb3_5ef6_5fd8
+        };
+        assert_eq!(checkpoint::fnv1a64(json.as_bytes()), golden);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Serializable state image of the resumable functional simulator.
 //!
 //! [`FunctionalState`] is everything [`crate::ResumableRun`] carries
-//! between start vertices: the DRAM scheduler image, both fault
-//! injectors' stream positions, per-resource cycle budgets, byte
-//! tallies, the completed structural matrices, the in-flight one, and
-//! the cursor `(metapath index, next start vertex)`. Restoring it and
+//! between start vertices: the DRAM scheduler image (with the service
+//! in flight), both fault injectors' stream positions, per-resource
+//! cycle budgets, byte tallies, the completed structural matrices, the
+//! in-flight one, and the cursor `(metapath index, next start vertex)`. Restoring it and
 //! running to the end reproduces an uninterrupted run bit for bit: the
 //! walk order, the fault schedule, and every floating-point
 //! accumulation replay in the original order.
@@ -23,7 +23,8 @@ use crate::report::NmpCounts;
 pub struct FunctionalState {
     /// Configuration the run executes under; restore refuses any other.
     pub config: NmpConfig,
-    /// DRAM scheduler image (queues, banks, stats, its injector).
+    /// DRAM scheduler image (queues, banks, stats, its injector, and
+    /// each channel's service since the last merge).
     pub mem: SystemState,
     /// Stream positions of the broadcast/unit fault injector.
     pub injector: Option<InjectorState>,
@@ -35,8 +36,6 @@ pub struct FunctionalState {
     pub gen: Vec<u64>,
     /// Rank-AU compute cycles per rank.
     pub compute: Vec<u64>,
-    /// Next free reserved-region slot per rank.
-    pub slots: Vec<u64>,
     /// Normal (point-to-point) bus bytes per channel.
     pub normal_bytes: Vec<f64>,
     /// Broadcast bus bytes per channel.

@@ -8,11 +8,17 @@
 //! the requested rank (a conservative estimate with < 2× relative
 //! error; see [`crate::quantile`] for the bound).
 
+use serde::{Deserialize, Serialize};
+
 pub(crate) use crate::quantile::BUCKETS;
 use crate::quantile::{bucket_index, quantile_from_counts};
 
 /// A fixed-size log₂-bucketed histogram of `u64` samples.
-#[derive(Debug, Clone)]
+///
+/// Serializes its raw fields (the bucket array, count, sum, and the
+/// untranslated `min` sentinel, `u64::MAX` when empty), so a
+/// checkpoint image restores it exactly.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     counts: [u64; BUCKETS],
     count: u64,
@@ -60,31 +66,6 @@ impl Histogram {
         self.sum += v as u128 * n as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Raw internal fields, for the checkpoint image:
-    /// `(counts, count, sum, min, max)`. `min` is the untranslated
-    /// sentinel (`u64::MAX` when empty), unlike [`Histogram::min`].
-    pub(crate) fn raw_parts(&self) -> (&[u64; BUCKETS], u64, u128, u64, u64) {
-        (&self.counts, self.count, self.sum, self.min, self.max)
-    }
-
-    /// Rebuilds a histogram from raw fields captured by
-    /// [`Histogram::raw_parts`].
-    pub(crate) fn from_raw_parts(
-        counts: [u64; BUCKETS],
-        count: u64,
-        sum: u128,
-        min: u64,
-        max: u64,
-    ) -> Self {
-        Histogram {
-            counts,
-            count,
-            sum,
-            min,
-            max,
-        }
     }
 
     /// Folds another histogram into this one.

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::hist::{Histogram, BUCKETS};
+use crate::hist::Histogram;
 use crate::snapshot::{HistogramSummary, PhaseRow, Snapshot, TraceData, TraceEvent};
 
 /// Trace process id for wall-clock spans.
@@ -264,16 +264,6 @@ pub fn trace_data() -> TraceData {
     })
 }
 
-/// Raw image of one histogram inside a checkpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct HistImage {
-    counts: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
 /// The metrics half of the registry, as persisted by
 /// [`checkpoint_json`]. Trace events and sim tracks are wall-clock
 /// diagnostics of one process and are deliberately not carried across
@@ -282,7 +272,7 @@ struct HistImage {
 struct RegistryImage {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, HistImage>,
+    hists: BTreeMap<String, Histogram>,
     phases: BTreeMap<String, (u64, f64)>,
 }
 
@@ -293,23 +283,7 @@ pub fn checkpoint_json() -> String {
     let image = with_state(|s| RegistryImage {
         counters: s.counters.clone(),
         gauges: s.gauges.clone(),
-        hists: s
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                let (counts, count, sum, min, max) = h.raw_parts();
-                (
-                    k.clone(),
-                    HistImage {
-                        counts: counts.to_vec(),
-                        count,
-                        sum,
-                        min,
-                        max,
-                    },
-                )
-            })
-            .collect(),
+        hists: s.hists.clone(),
         phases: s.phase_totals.clone(),
     });
     serde_json::to_string(&image).unwrap_or_else(|e| {
@@ -332,17 +306,6 @@ pub fn checkpoint_json() -> String {
 pub fn merge_checkpoint_json(json: &str) -> Result<(), String> {
     let image: RegistryImage =
         serde_json::from_str(json).map_err(|e| format!("malformed telemetry checkpoint: {e:?}"))?;
-    let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
-    for (name, h) in image.hists {
-        let counts: [u64; BUCKETS] = h
-            .counts
-            .try_into()
-            .map_err(|v: Vec<u64>| format!("histogram {name:?} has {} buckets", v.len()))?;
-        hists.insert(
-            name,
-            Histogram::from_raw_parts(counts, h.count, h.sum, h.min, h.max),
-        );
-    }
     with_state(|s| {
         for (name, v) in image.counters {
             *s.counters.entry(name).or_insert(0) += v;
@@ -350,7 +313,7 @@ pub fn merge_checkpoint_json(json: &str) -> Result<(), String> {
         for (name, v) in image.gauges {
             s.gauges.entry(name).or_insert(v);
         }
-        for (name, h) in hists {
+        for (name, h) in image.hists {
             s.hists.entry(name).or_default().merge(&h);
         }
         for (name, (calls, ms)) in image.phases {

@@ -416,19 +416,33 @@ fn fault_injector_snapshot_resumes_identical_schedules() {
 fn functional_chunked_stepping_matches_straight_run() {
     use hetgraph::datasets::{generate, DatasetId, GeneratorConfig};
     use hgnn::{OpCounters, Projection};
-    use nmp::{FunctionalSim, NmpConfig, ResumableRun};
+    use nmp::{FaultConfig, FunctionalSim, NmpConfig, ResumableRun};
     // Simulation cases are expensive; a handful of random budgets
-    // still cover boundary-straddling chunk sizes.
+    // still cover boundary-straddling chunk sizes. IMDB@0.02 has 466
+    // start vertices, so every budget leaves at least two snapshot
+    // points. Odd cases inject recoverable faults.
     for case in 0..4u64 {
         let seed = 13 * (case + 1);
         let mut rng = StdRng::seed_from_u64(seed);
-        let ds = generate(DatasetId::Imdb, GeneratorConfig::at_scale(0.005));
+        let ds = generate(DatasetId::Imdb, GeneratorConfig::at_scale(0.02));
         let features = FeatureStore::random(&ds.graph, seed);
-        let proj = Projection::random(&ds.graph, 8, seed);
+        let proj = Projection::random(&ds.graph, 16, seed);
         let mut counters = OpCounters::default();
         let hidden = proj.project(&ds.graph, &features, &mut counters).unwrap();
+        let faults = if case % 2 == 1 {
+            FaultConfig {
+                seed,
+                bit_flip_rate: 0.01,
+                broadcast_drop_rate: 0.2,
+                stall_rate: 0.05,
+                ..FaultConfig::off()
+            }
+        } else {
+            FaultConfig::off()
+        };
         let cfg = NmpConfig {
-            hidden_dim: 8,
+            hidden_dim: 16,
+            faults,
             ..NmpConfig::default()
         };
         let straight = FunctionalSim::new(cfg)
@@ -436,6 +450,7 @@ fn functional_chunked_stepping_matches_straight_run() {
             .unwrap();
         let budget = rng.gen_range(1u64..200);
         let mut run = ResumableRun::new(cfg);
+        let mut mid_service = false;
         while !run
             .step(&ds.graph, &hidden, ModelKind::Magnn, &ds.metapaths, budget)
             .unwrap()
@@ -443,8 +458,13 @@ fn functional_chunked_stepping_matches_straight_run() {
             // Rebuild from the snapshot at every chunk boundary, as a
             // resume would.
             let state = checkpoint::Snapshot::snapshot(&run);
+            // Fewer bursts queued than requests issued: the image falls
+            // in the middle of a streamed service.
+            let queued: usize = state.mem.channels.iter().map(|c| c.queue.len()).sum();
+            mid_service |= queued < state.mem.next_id;
             run = ResumableRun::from_state(&state).unwrap();
         }
+        assert!(mid_service, "budget {budget}: no mid-service snapshot");
         let resumed = run.finish(&ds.graph, &ds.metapaths).unwrap();
         assert_eq!(resumed.report, straight.report, "budget {budget}");
         assert_eq!(
