@@ -1,30 +1,27 @@
-//! Seeded structure-aware mutation fuzzer for the repository's three
-//! untrusted input boundaries:
+//! Seeded structure-aware mutation fuzzer for the repository's five
+//! untrusted input boundaries. Each boundary's lane key is fixed, so
+//! adding or removing a boundary moves no other lane's stream:
 //!
-//! 1. **ckpt** — checkpoint container bytes through [`checkpoint::load`]
-//!    (magic / version / length / CRC / config-hash / JSON validation);
-//! 2. **manifest** — JSONL sweep journals through
-//!    [`checkpoint::manifest::Journal::open_resume`];
-//! 3. **graph** — `HGB1` graph and dataset streams through
-//!    [`hetgraph::io::load_graph`] / [`hetgraph::io::load_dataset`];
-//! 4. **trace** — `QTR1` serving query traces through
-//!    [`serve::load_trace`] (truncated records, out-of-range vertex
-//!    ids and class indices, non-monotone timestamps, trailing bytes);
-//! 5. **http** — sweep-service request bytes through
-//!    [`sweepd::parse_request`] and, when framing survives, the body
-//!    through [`sweepd::parse_manifest`] (oversized request/header
-//!    lines, header-count overflow, truncated chunked bodies,
-//!    absurd `Content-Length`, malformed JSON manifests);
-//! 6. **scenario** — `CHS1` chaos-scenario scripts through
-//!    [`serve::Scenario::from_bytes`] (bad magic, unknown
-//!    directives, non-finite or non-positive spike multipliers,
-//!    inverted spike windows, malformed hex masks, zero fleet sizes,
-//!    invalid UTF-8);
-//! 7. **frame** — remote-worker wire frames through
-//!    [`sweepd::wire::parse_frame`] and the handshake parsers
-//!    [`sweepd::wire::parse_hello`] / [`sweepd::wire::parse_reply`]
-//!    (oversized frames, over-cap tokens and worker names, out-of-range
-//!    or mistyped pids, invalid UTF-8, mangled handshake envelopes).
+//! - **ckpt** (lane 1) — checkpoint container bytes through
+//!   [`checkpoint::load`] (magic / version / length / CRC /
+//!   config-hash / JSON validation);
+//! - **manifest** (lane 2) — JSONL sweep journals through
+//!   [`checkpoint::manifest::Journal::open_resume`];
+//! - **http** (lane 5) — sweep-service request bytes through
+//!   [`sweepd::parse_request`] and, when framing survives, the body
+//!   through [`sweepd::parse_manifest`] (oversized request/header
+//!   lines, header-count overflow, truncated chunked bodies,
+//!   absurd `Content-Length`, malformed JSON manifests);
+//! - **scenario** (lane 6) — `CHS1` chaos-scenario scripts through
+//!   [`faultsim::Scenario::from_bytes`] (bad magic, unknown
+//!   directives, non-finite or non-positive spike multipliers,
+//!   inverted spike windows, malformed hex masks, zero fleet sizes,
+//!   invalid UTF-8);
+//! - **frame** (lane 7) — remote-worker wire frames through
+//!   [`sweepd::wire::parse_frame`] and the handshake parsers
+//!   [`sweepd::wire::parse_hello`] / [`sweepd::wire::parse_reply`]
+//!   (oversized frames, over-cap tokens and worker names, out-of-range
+//!   or mistyped pids, invalid UTF-8, mangled handshake envelopes).
 //!
 //! Each iteration takes a known-valid input, applies one randomly
 //! chosen structural mutation (bit flip, field overwrite with extreme
@@ -40,7 +37,7 @@
 //! or the other boundaries.
 //!
 //! ```text
-//! usage: fuzz [--iters N] [--seed S] [--seconds T] [--boundary all|ckpt|manifest|graph|trace|http|scenario|frame]
+//! usage: fuzz [--iters N] [--seed S] [--seconds T] [--boundary all|ckpt|manifest|http|scenario|frame]
 //! ```
 //!
 //! `--seconds` is a wall-clock cap for CI smoke runs; because the
@@ -54,8 +51,6 @@ use std::time::Instant;
 
 use checkpoint::manifest::{cell_record, Journal, JournalHeader};
 use checkpoint::FORMAT_VERSION;
-use hetgraph::datasets::{generate, DatasetId, GeneratorConfig};
-use hetgraph::io::{load_dataset, load_graph, save_dataset, save_graph};
 
 const DEFAULT_ITERS: u64 = 5_000;
 const DEFAULT_SEED: u64 = 42;
@@ -248,107 +243,6 @@ fn manifest_boundary(scratch: &Path) -> Boundary {
     }
 }
 
-/// HGB1 graph/dataset boundary through `load_graph` / `load_dataset`.
-fn graph_boundary() -> Boundary {
-    let ds = generate(DatasetId::Imdb, GeneratorConfig::at_scale(0.02));
-    let mut graph_bytes = Vec::new();
-    save_graph(&ds.graph, &mut graph_bytes).expect("in-memory save cannot fail");
-    let mut dataset_bytes = Vec::new();
-    save_dataset(&ds, &mut dataset_bytes).expect("in-memory save cannot fail");
-    Boundary {
-        name: "graph",
-        lane: 3,
-        run: Box::new(move |_dir, rng| {
-            let as_dataset = rng.below(2) == 1;
-            let mut bytes = if as_dataset {
-                dataset_bytes.clone()
-            } else {
-                graph_bytes.clone()
-            };
-            let identity = mutate(rng, &mut bytes);
-            if as_dataset {
-                let result = catch_unwind(AssertUnwindSafe(|| load_dataset(bytes.as_slice())));
-                outcome_of(identity, result)
-            } else {
-                let result = catch_unwind(AssertUnwindSafe(|| load_graph(bytes.as_slice())));
-                outcome_of(identity, result)
-            }
-        }),
-    }
-}
-
-/// QTR1 query-trace boundary through `serve::load_trace`.
-///
-/// Beyond the generic byte mutations, half the iterations apply a
-/// *field-targeted* mutation that lands exactly on a record field —
-/// a vertex id pushed past `vertex_bound`, a class index past
-/// `num_classes`, a timestamp swapped backwards, or a record cut at a
-/// byte offset inside the 16-byte frame — the corruptions a generic
-/// bit flip rarely synthesizes.
-fn trace_boundary() -> Boundary {
-    let trace = serve::QueryTrace {
-        num_classes: 3,
-        vertex_bound: 1000,
-        records: (0..64)
-            .map(|i| serve::TraceRecord {
-                arrival_tick: 10 * i as u64,
-                vertex: (i * 37 % 1000) as u32,
-                class: (i % 3) as u16,
-            })
-            .collect(),
-    };
-    let mut valid = Vec::new();
-    serve::save_trace(&trace, &mut valid).expect("in-memory save cannot fail");
-    const HEADER: usize = 4 + 2 + 2 + 4 + 8;
-    const RECORD: usize = 16;
-    Boundary {
-        name: "trace",
-        lane: 4,
-        run: Box::new(move |_dir, rng| {
-            let mut bytes = valid.clone();
-            let identity = if rng.below(2) == 0 {
-                mutate(rng, &mut bytes)
-            } else {
-                // Field-targeted corruption of record `rec`.
-                let rec = rng.below(64) as usize;
-                let at = HEADER + rec * RECORD;
-                match rng.below(4) {
-                    0 => {
-                        // Vertex id at/above vertex_bound.
-                        let v = 1000u32 + rng.below(1 << 20) as u32;
-                        bytes[at + 8..at + 12].copy_from_slice(&v.to_le_bytes());
-                    }
-                    1 => {
-                        // Class index at/above num_classes.
-                        let c = 3u16.saturating_add(rng.below(1 << 12) as u16);
-                        bytes[at + 12..at + 14].copy_from_slice(&c.to_le_bytes());
-                    }
-                    2 => {
-                        // Non-monotone timestamp: rewind a later record
-                        // below its predecessor (record 0 can't rewind,
-                        // so bump it past its successor instead).
-                        if rec == 0 {
-                            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-                        } else {
-                            let prev = 10 * (rec as u64 - 1);
-                            let t = prev.saturating_sub(1 + rng.below(1000));
-                            bytes[at..at + 8].copy_from_slice(&t.to_le_bytes());
-                        }
-                    }
-                    _ => {
-                        // Truncate mid-record.
-                        let cut = at + 1 + rng.below((RECORD - 1) as u64) as usize;
-                        bytes.truncate(cut);
-                    }
-                }
-                false
-            };
-            let result = catch_unwind(AssertUnwindSafe(|| serve::load_trace(bytes.as_slice())));
-            outcome_of(identity, result)
-        }),
-    }
-}
-
 /// sweepd control-plane boundary: HTTP/1.1 request bytes through
 /// [`sweepd::parse_request`], and — whenever the framing survives the
 /// mutation — the decoded body through [`sweepd::parse_manifest`].
@@ -446,14 +340,14 @@ fn http_boundary() -> Boundary {
     }
 }
 
-/// CHS1 chaos-scenario boundary through [`serve::Scenario::from_bytes`].
+/// CHS1 chaos-scenario boundary through [`faultsim::Scenario::from_bytes`].
 ///
 /// Half the iterations are field-targeted at the parser's validation
 /// rules: a spike multiplier replaced with `NaN`/`inf`/zero/negative
 /// text, a spike window inverted (end ≤ start), a mask rewritten as
 /// non-hex garbage, a fleet size forced to zero, an unknown directive
 /// spliced in, or the magic line corrupted. Every outcome must be a
-/// structured a structured scenario error — never a panic.
+/// structured scenario error — never a panic.
 fn scenario_boundary() -> Boundary {
     let valid: Vec<u8> = b"CHS1\n\
         # fuzz seed script\n\
@@ -504,7 +398,7 @@ fn scenario_boundary() -> Boundary {
                 bytes = mutated.into_bytes();
                 false
             };
-            let result = catch_unwind(AssertUnwindSafe(|| serve::Scenario::from_bytes(&bytes)));
+            let result = catch_unwind(AssertUnwindSafe(|| faultsim::Scenario::from_bytes(&bytes)));
             outcome_of(identity, result)
         }),
     }
@@ -638,14 +532,9 @@ fn parse_args() -> Result<Options, String> {
             }
             "--boundary" => {
                 let v = it.next().ok_or("--boundary requires a name")?;
-                if ![
-                    "all", "ckpt", "manifest", "graph", "trace", "http", "scenario", "frame",
-                ]
-                .contains(&v.as_str())
-                {
+                if !["all", "ckpt", "manifest", "http", "scenario", "frame"].contains(&v.as_str()) {
                     return Err(format!(
-                        "unknown boundary {v:?}; known: all ckpt manifest graph trace http \
-                         scenario frame"
+                        "unknown boundary {v:?}; known: all ckpt manifest http scenario frame"
                     ));
                 }
                 opts.boundary = v;
@@ -672,7 +561,7 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "usage: fuzz [--iters N] [--seed S] [--seconds T] \
-                 [--boundary all|ckpt|manifest|graph|trace|http|scenario|frame]"
+                 [--boundary all|ckpt|manifest|http|scenario|frame]"
             );
             return ExitCode::from(2);
         }
@@ -689,12 +578,6 @@ fn main() -> ExitCode {
     }
     if matches!(opts.boundary.as_str(), "all" | "manifest") {
         boundaries.push(manifest_boundary(&dir));
-    }
-    if matches!(opts.boundary.as_str(), "all" | "graph") {
-        boundaries.push(graph_boundary());
-    }
-    if matches!(opts.boundary.as_str(), "all" | "trace") {
-        boundaries.push(trace_boundary());
     }
     if matches!(opts.boundary.as_str(), "all" | "http") {
         boundaries.push(http_boundary());

@@ -374,10 +374,10 @@ mod imp {
 
     /// The live per-channel protocol checker: an independent mirror of
     /// bank/rank state built purely from observed commands. Lives in
-    /// the channel's state so the worker servicing that channel — on
-    /// whatever thread — accumulates violations locally; the system
-    /// drains them in channel order, keeping the report byte-identical
-    /// at every thread count.
+    /// the channel's state so the worker servicing that channel
+    /// accumulates violations locally; the system drains them in
+    /// channel order, so the report does not depend on when each
+    /// channel was serviced.
     #[derive(Debug, Clone)]
     pub(crate) struct ChannelChecker {
         ch: usize,

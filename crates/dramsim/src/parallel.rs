@@ -1,12 +1,13 @@
 //! The host-parallelism knob shared by the simulation stack.
 //!
 //! One process-global thread budget controls every deterministic
-//! fan-out point: channel-level servicing here in `dramsim`,
-//! DIMM-level instance generation in `nmp::functional`, and the
-//! sweep-cell pool in the experiments runner. All of those sites are
-//! *deterministic by construction* — workers accumulate into private
-//! deltas that are merged in a fixed canonical order — so the budget
-//! only changes wall-clock time, never a reported number.
+//! fan-out point: DIMM-level instance generation in
+//! `nmp::functional` and the sweep-cell pool in the experiments
+//! runner. Both sites are *deterministic by construction* — workers
+//! accumulate into private deltas that are merged in a fixed
+//! canonical order — so the budget only changes wall-clock time,
+//! never a reported number. `dramsim` itself services its channels
+//! on the calling thread.
 //!
 //! The default (`0`, "auto") resolves to
 //! [`std::thread::available_parallelism`]. Setting `1` forces fully

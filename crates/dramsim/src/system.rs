@@ -89,8 +89,9 @@ impl RankState {
 }
 
 /// One channel's timing state, queue and in-flight service. Everything
-/// the service loop writes lives here, so a channel's service can run
-/// on any thread, and `enqueue` can service one channel at a time.
+/// the service loop writes lives here, so `enqueue` can service one
+/// channel at a time and `try_service_all` merges the channels in a
+/// fixed order.
 #[derive(Debug, Clone)]
 struct ChannelState {
     ranks: Vec<RankState>,
@@ -494,13 +495,9 @@ impl MemorySystem {
     /// active fault model this never fails.
     ///
     /// Channels share no timing state, so each channel's service loop
-    /// runs as an independent worker — on scoped threads when the host
-    /// thread budget ([`crate::parallel`]) and queue depth warrant it —
-    /// and the channels' service since the last merge (streamed during
-    /// [`MemorySystem::enqueue`] plus this drain) is folded in fixed
-    /// channel order. The serial and threaded paths execute the same
-    /// worker code and the same ordered merge, so the report is
-    /// byte-identical at every thread count.
+    /// runs as an independent worker, and the channels' service since
+    /// the last merge (streamed during [`MemorySystem::enqueue`] plus
+    /// this drain) is folded in fixed channel order.
     ///
     /// On error, bursts already serviced keep their timeline effects
     /// and unserviced bursts stay queued; every channel is still
@@ -514,8 +511,7 @@ impl MemorySystem {
         for ch in 0..self.channels.len() {
             // Ordered merge: channel by channel, so every accumulator —
             // including the f64 energy tallies — sees the same fold
-            // sequence regardless of the thread count and of how much
-            // of the service was streamed.
+            // sequence however much of the service was streamed.
             let service = std::mem::take(&mut self.channels[ch].service);
             self.stats.merge(&service.stats);
             self.fault_stats.merge(&service.fault_stats);
@@ -525,7 +521,7 @@ impl MemorySystem {
             self.retire(ch);
         }
         // Drain the per-channel checkers in channel order so the
-        // violation list is identical at every thread count.
+        // violation list does not depend on when each channel streamed.
         #[cfg(feature = "audit")]
         for ch in &mut self.channels {
             self.audit.tally.absorb(ch.checker.take_delta());
@@ -651,43 +647,17 @@ impl MemorySystem {
 
     /// Services what every channel still has queued, leaving each
     /// channel's results in its state for the ordered merge.
-    ///
-    /// The thread budget changes only the execution strategy: with a
-    /// budget of one — or too little queued work to amortize thread
-    /// spawns — the workers run inline on this thread; otherwise each
-    /// channel's worker runs on a scoped thread. Both paths execute the
-    /// same per-channel accumulation, so the caller's merge is
-    /// identical at every thread count.
     fn drain_channels(&mut self) {
-        let queued: usize = self.channels.iter().map(|c| c.queue.len()).sum();
-        let busy = self.channels.iter().filter(|c| !c.queue.is_empty()).count();
         // Either one injector lane per channel or none at all.
         let mut injectors = self.injectors.iter_mut();
-        let config = &self.config;
-        let workers: Vec<ChannelWorker<'_>> = self
-            .channels
-            .iter_mut()
-            .enumerate()
-            .map(|(ch, state)| ChannelWorker {
-                config,
+        for (ch, state) in self.channels.iter_mut().enumerate() {
+            ChannelWorker {
+                config: &self.config,
                 ch,
                 state,
                 injector: injectors.next(),
-            })
-            .collect();
-        let threads = crate::parallel::threads().min(busy.max(1));
-        if threads <= 1 || queued < PAR_MIN_QUEUED_BURSTS {
-            workers.into_iter().for_each(|w| w.run(false));
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .into_iter()
-                    .map(|w| scope.spawn(move || w.run(false)))
-                    .collect();
-                for h in handles {
-                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                }
-            });
+            }
+            .run(false);
         }
     }
 
@@ -862,19 +832,11 @@ impl MemorySystem {
     }
 }
 
-/// Channel servicing fans out to scoped worker threads only when at
-/// least this many bursts are queued system-wide; below it the spawn
-/// cost exceeds the service cost. Purely a wall-clock heuristic — both
-/// paths run the same worker code and ordered merge.
-const PAR_MIN_QUEUED_BURSTS: usize = 2048;
-
 /// One channel's FR-FCFS service loop, detached from the shared
-/// [`MemorySystem`] so it can run on any thread: it holds mutable
-/// access to exactly its channel's state (and that channel's injector
-/// lane) and accumulates everything shared in that state, for the
-/// ordered merge. Telemetry is buffered there too — workers never
-/// touch the global registry, which keeps the registry contents
-/// independent of thread scheduling.
+/// [`MemorySystem`]: it holds mutable access to exactly its channel's
+/// state (and that channel's injector lane) and accumulates everything
+/// shared in that state, for the ordered merge. Telemetry is buffered
+/// there too; workers never touch the global registry.
 struct ChannelWorker<'a> {
     config: &'a DramConfig,
     ch: usize,
@@ -1589,18 +1551,6 @@ mod tests {
     fn single_channel() -> DramConfig {
         DramConfig {
             channels: 1,
-            ..DramConfig::default()
-        }
-    }
-
-    /// The default topology with a scheduling window as wide as a
-    /// channel's share of a 4,096-burst batch. Its high-water mark of
-    /// four windows is never reached, so the whole batch waits for
-    /// `service_all`: enough queued work for the drain to fan out to
-    /// threads.
-    fn wide_window() -> DramConfig {
-        DramConfig {
-            sched_window: 1024,
             ..DramConfig::default()
         }
     }
@@ -2452,46 +2402,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_does_not_change_results() {
-        // Enough queued bursts to clear the spawn threshold, spread
-        // over every channel and held back from streaming by the wide
-        // window. The fault-free config detaches the injectors (the
-        // plain service path); the active one exercises the
-        // per-channel injector lanes and the fault pipeline.
-        let faulted = FaultConfig {
-            seed: 11,
-            bit_flip_rate: 0.002,
-            stall_rate: 0.01,
-            ..FaultConfig::off()
-        };
-        for faults in [FaultConfig::off(), faulted] {
-            let run_with = |threads: usize| {
-                crate::parallel::set_threads(threads);
-                let mut sys = MemorySystem::with_faults(wide_window(), faults);
-                for i in 0..4096u64 {
-                    if i % 3 == 0 {
-                        sys.enqueue(Request::write(i * 64, 64));
-                    } else {
-                        sys.enqueue(Request::read(i * 64, 64));
-                    }
-                }
-                let report = sys
-                    .try_service_all()
-                    .expect("low fault rates stay recoverable");
-                crate::parallel::set_threads(0);
-                (report, all_completions(&sys))
-            };
-            let (serial, serial_done) = run_with(1);
-            let (threaded, threaded_done) = run_with(4);
-            assert_eq!(serial.stats, threaded.stats);
-            assert_eq!(serial.faults, threaded.faults);
-            assert_eq!(serial_done, threaded_done);
-            assert_eq!(serial_done.len(), 4096);
-            assert!(serial_done.iter().all(Option::is_some));
-        }
-    }
-
-    #[test]
     fn persistent_remaps_are_counted() {
         let cfg = FaultConfig {
             seed: 11,
@@ -2581,28 +2491,6 @@ mod tests {
             assert!(r.faults.read_retries > 0, "faults must actually retry");
             let report = sys.audit_report(true);
             assert!(report.is_clean(), "{}", report.summary());
-        }
-
-        #[test]
-        fn audit_report_identical_at_every_thread_count() {
-            let run_with = |threads: usize| {
-                crate::parallel::set_threads(threads);
-                let mut sys = MemorySystem::new(wide_window());
-                for i in 0..4096u64 {
-                    if i % 3 == 0 {
-                        sys.enqueue(Request::write(i * 64, 64));
-                    } else {
-                        sys.enqueue(Request::read(i * 64, 64));
-                    }
-                }
-                sys.service_all();
-                crate::parallel::set_threads(0);
-                sys.audit_report(true)
-            };
-            let serial = run_with(1);
-            let threaded = run_with(4);
-            assert!(serial.is_clean(), "{}", serial.summary());
-            assert_eq!(serial, threaded);
         }
 
         #[test]

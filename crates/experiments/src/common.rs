@@ -112,8 +112,9 @@ pub struct Ctx {
     /// [`SweepOptions::dir`] and honor interrupts between cells.
     pub sweep: Option<SweepOptions>,
     /// Host thread budget from `--jobs` (`0` = auto). Sweeps use it for
-    /// the cell-level worker pool; everything else inherits it through
-    /// [`dramsim::parallel::set_threads`]. Results never depend on it.
+    /// the cell-level worker pool; `nmp`'s DIMM-level instance
+    /// generation inherits it through [`dramsim::parallel::set_threads`].
+    /// Results never depend on it.
     pub jobs: usize,
     /// The datasets built so far, shared by every experiment of the
     /// invocation.

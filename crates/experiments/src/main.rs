@@ -16,9 +16,9 @@
 //! Options:
 //!   --seed <u64>          seed for seeded experiments (default 42)
 //!   --jobs <n>            host thread budget: sweep cells fan out over
-//!                         n workers, other experiments parallelize at
-//!                         the DRAM-channel/DIMM level (0 = auto, one
-//!                         per core; default auto). Results are
+//!                         n workers, other experiments generate
+//!                         instances DIMM-parallel (0 = auto, one per
+//!                         core; default auto). Results are
 //!                         byte-identical at every value.
 //!   --metrics-out <path>  write a JSON telemetry snapshot after the run
 //!   --deterministic-metrics

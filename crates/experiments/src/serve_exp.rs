@@ -17,10 +17,7 @@ use hetgraph::datasets::DatasetId;
 use hgnn::ModelKind;
 use metanmp::FaultConfig;
 use serde::Serialize;
-use serve::{
-    AdmissionConfig, ArrivalSpec, PoissonArrivals, Scenario, ServeConfig, ServeReport,
-    ServeWorkload,
-};
+use serve::{AdmissionConfig, PoissonArrivals, Scenario, ServeConfig, ServeReport, ServeWorkload};
 
 use crate::common::{Ctx, ExpResult, ResultExt, TableWriter};
 use crate::sweep::{CellSpec, SweepRunner};
@@ -130,11 +127,11 @@ fn config_for(cx: &Ctx, rate: f64, mask: u64) -> ServeConfig {
         model: ModelKind::Magnn,
         hidden_dim: HIDDEN,
         seed: cx.seed,
-        arrivals: ArrivalSpec::Poisson(PoissonArrivals {
+        arrivals: PoissonArrivals {
             rate_per_ktick: rate,
             queries: QUERIES,
             popularity_skew: SKEW,
-        }),
+        },
         classes: serve::default_classes(),
         cache_bytes: CACHE_BYTES,
         faults: FaultConfig {
@@ -366,11 +363,11 @@ fn overload_config(
     scripted: bool,
 ) -> ServeConfig {
     let mut c = config_for(cx, rate, 0);
-    c.arrivals = ArrivalSpec::Poisson(PoissonArrivals {
+    c.arrivals = PoissonArrivals {
         rate_per_ktick: rate,
         queries: OVERLOAD_QUERIES,
         popularity_skew: SKEW,
-    });
+    };
     if admission {
         let mut policy = AdmissionConfig::for_capacity(capacity, 8);
         // Batches under the 8x stall slowdown run for thousands of

@@ -162,10 +162,9 @@ impl SweepRunner {
     ///
     /// `jobs` is the raw `--jobs` value (`0` = auto). While two or more
     /// workers are active the [`dramsim::parallel`] budget is pinned to
-    /// 1 so cell-level and channel-level parallelism do not
-    /// oversubscribe the host; it is restored to `jobs` afterwards. A
-    /// single worker keeps the whole budget for channel-level
-    /// parallelism.
+    /// 1 so cell-level and DIMM-level parallelism do not oversubscribe
+    /// the host; it is restored to `jobs` afterwards. A single worker
+    /// keeps the whole budget for DIMM-level instance generation.
     ///
     /// # Errors
     ///

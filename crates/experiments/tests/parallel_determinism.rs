@@ -4,8 +4,8 @@
 //! Three paths are exercised end to end:
 //!
 //! 1. `verify` — the cycle-level hardware pipeline, where `--jobs`
-//!    drives channel-parallel DRAM servicing and DIMM-parallel
-//!    instance generation inside a single simulation.
+//!    drives DIMM-parallel instance generation inside a single
+//!    simulation.
 //! 2. The `faults` sweep — where `--jobs` additionally fans whole
 //!    sweep cells out over the worker pool, with journal appends and
 //!    telemetry merges folded back in canonical order.

@@ -35,13 +35,6 @@ pub enum GraphError {
     TooManyVertexTypes(usize),
     /// An edge connected a vertex to itself.
     SelfLoop(Vertex),
-    /// The same edge was added more than once in a checked build.
-    DuplicateEdge {
-        /// One endpoint (canonical order).
-        a: Vertex,
-        /// The other endpoint (canonical order).
-        b: Vertex,
-    },
     /// A feature value was NaN or infinite.
     NonFiniteFeature {
         /// The vertex type whose feature matrix held the value.
@@ -89,9 +82,6 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop(v) => {
                 write!(f, "self-loop on vertex {v} is not supported")
             }
-            GraphError::DuplicateEdge { a, b } => {
-                write!(f, "edge {a}-{b} was added more than once")
-            }
             GraphError::NonFiniteFeature { ty, row, col } => {
                 write!(
                     f,
@@ -131,11 +121,6 @@ mod tests {
 
     #[test]
     fn validation_variants_name_the_offender() {
-        let a = Vertex::new(VertexTypeId::new(0), VertexId::new(1));
-        let b = Vertex::new(VertexTypeId::new(1), VertexId::new(2));
-        let s = GraphError::DuplicateEdge { a, b }.to_string();
-        assert!(s.contains("more than once"), "{s}");
-
         let s = GraphError::NonFiniteFeature {
             ty: VertexTypeId::new(2),
             row: 7,

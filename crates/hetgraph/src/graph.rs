@@ -6,7 +6,7 @@
 //! instead of filtering a mixed adjacency list per edge. Edges are
 //! undirected at the model level; both directions are materialized.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -251,41 +251,6 @@ impl HeteroGraphBuilder {
         self.edges.values().map(Vec::len).sum()
     }
 
-    /// Like [`finish`], but rejects duplicate edges instead of
-    /// silently deduplicating them.
-    ///
-    /// Use this when the edge list comes from an external source (a
-    /// file, a user) where a repeated edge signals corrupt input
-    /// rather than a convenience the generator relies on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::DuplicateEdge`] naming the first edge
-    /// that appears more than once (in canonical lo-hi orientation).
-    ///
-    /// [`finish`]: HeteroGraphBuilder::finish
-    pub fn finish_checked(self) -> Result<HeteroGraph, GraphError> {
-        for (rel, pairs) in &self.edges {
-            let mut seen = BTreeSet::new();
-            for &(l, h) in pairs {
-                // Only a self-relation can hold one edge in both
-                // orientations.
-                let key = if rel.lo() == rel.hi() {
-                    (l.min(h), l.max(h))
-                } else {
-                    (l, h)
-                };
-                if !seen.insert(key) {
-                    return Err(GraphError::DuplicateEdge {
-                        a: Vertex::new(rel.lo(), VertexId::new(key.0)),
-                        b: Vertex::new(rel.hi(), VertexId::new(key.1)),
-                    });
-                }
-            }
-        }
-        Ok(self.finish())
-    }
-
     /// Finalizes the graph, materializing both CSR directions of every
     /// relation.
     ///
@@ -400,46 +365,6 @@ mod tests {
             .typed_neighbors(Vertex::new(a, VertexId::new(99)), b)
             .unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfRange { .. }));
-    }
-
-    #[test]
-    fn finish_checked_rejects_duplicate_edges() {
-        let mut schema = GraphSchema::new();
-        let a = schema.add_vertex_type("A", 'A', 4);
-        let b = schema.add_vertex_type("B", 'B', 4);
-        schema.add_relation(a, b);
-        let mut builder = HeteroGraphBuilder::new(schema);
-        builder.set_vertex_count(a, 2);
-        builder.set_vertex_count(b, 2);
-        let va = |i| Vertex::new(a, VertexId::new(i));
-        let vb = |i| Vertex::new(b, VertexId::new(i));
-        builder.add_edge(va(0), vb(0)).unwrap();
-        builder.add_edge(va(0), vb(1)).unwrap();
-        // Same edge, opposite orientation: still a duplicate.
-        builder.add_edge(vb(0), va(0)).unwrap();
-        let err = builder.finish_checked().unwrap_err();
-        assert!(matches!(err, GraphError::DuplicateEdge { .. }), "{err}");
-    }
-
-    #[test]
-    fn finish_checked_accepts_simple_graphs() {
-        let mut schema = GraphSchema::new();
-        let a = schema.add_vertex_type("A", 'A', 4);
-        let b = schema.add_vertex_type("B", 'B', 4);
-        schema.add_relation(a, b);
-        let mut builder = HeteroGraphBuilder::new(schema);
-        builder.set_vertex_count(a, 2);
-        builder.set_vertex_count(b, 2);
-        for (x, y) in [(0, 0), (0, 1), (1, 0)] {
-            builder
-                .add_edge(
-                    Vertex::new(a, VertexId::new(x)),
-                    Vertex::new(b, VertexId::new(y)),
-                )
-                .unwrap();
-        }
-        let g = builder.finish_checked().unwrap();
-        assert_eq!(g.total_edge_count(), 3);
     }
 
     #[test]

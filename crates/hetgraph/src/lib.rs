@@ -64,7 +64,6 @@ pub mod datasets;
 mod error;
 mod graph;
 pub mod instances;
-pub mod io;
 mod metapath;
 mod schema;
 pub mod stats;

@@ -9,7 +9,6 @@ use faultsim::scenario::SpikeWindow;
 
 use crate::qos::ClassSpec;
 use crate::rng::{Stream, STREAM_CLASS, STREAM_INTERARRIVAL, STREAM_VERTEX};
-use crate::trace::QueryTrace;
 use crate::ServeError;
 
 /// Arrival-rate multiplier in force at `tick`: the product of every
@@ -50,16 +49,7 @@ pub struct PoissonArrivals {
     pub popularity_skew: f64,
 }
 
-/// Where queries come from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalSpec {
-    /// Generate a seeded Poisson stream.
-    Poisson(PoissonArrivals),
-    /// Replay a validated query trace.
-    Trace(QueryTrace),
-}
-
-impl ArrivalSpec {
+impl PoissonArrivals {
     /// Materializes the arrival schedule, sorted by (tick, seq).
     ///
     /// `vertex_bound` is the exclusive id bound of the query vertex
@@ -67,9 +57,8 @@ impl ArrivalSpec {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] on a non-positive rate, zero queries,
-    /// non-positive skew, or a trace whose declared bounds exceed the
-    /// dataset/class table it is replayed against.
+    /// [`ServeError::Config`] on a zero vertex bound, an empty class
+    /// table, a non-positive rate, zero queries, or non-positive skew.
     pub fn generate(
         &self,
         seed: u64,
@@ -80,11 +69,10 @@ impl ArrivalSpec {
     }
 
     /// [`generate`](Self::generate) with chaos-scenario load-spike
-    /// windows modulating the Poisson rate: inside a window the
-    /// instantaneous rate is multiplied by the window's `rate_mult`
-    /// (overlapping windows compound). An empty slice reproduces the
-    /// unscripted schedule byte-for-byte. Trace replays carry their
-    /// own timestamps and ignore spikes.
+    /// windows modulating the rate: inside a window the instantaneous
+    /// rate is multiplied by the window's `rate_mult` (overlapping
+    /// windows compound). An empty slice reproduces the unscripted
+    /// schedule byte-for-byte.
     ///
     /// # Errors
     ///
@@ -102,45 +90,6 @@ impl ArrivalSpec {
         if classes.is_empty() {
             return Err(ServeError::Config("no QoS classes".into()));
         }
-        match self {
-            ArrivalSpec::Poisson(p) => p.generate(seed, vertex_bound, classes, spikes),
-            ArrivalSpec::Trace(t) => {
-                if t.vertex_bound > vertex_bound {
-                    return Err(ServeError::Config(format!(
-                        "trace vertex bound {} exceeds dataset bound {vertex_bound}",
-                        t.vertex_bound
-                    )));
-                }
-                if usize::from(t.num_classes) > classes.len() {
-                    return Err(ServeError::Config(format!(
-                        "trace declares {} classes, config has {}",
-                        t.num_classes,
-                        classes.len()
-                    )));
-                }
-                Ok(t.records
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| Query {
-                        arrival_tick: r.arrival_tick,
-                        vertex: r.vertex,
-                        class: r.class,
-                        seq: i as u32,
-                    })
-                    .collect())
-            }
-        }
-    }
-}
-
-impl PoissonArrivals {
-    fn generate(
-        &self,
-        seed: u64,
-        vertex_bound: u32,
-        classes: &[ClassSpec],
-        spikes: &[SpikeWindow],
-    ) -> Result<Vec<Query>, ServeError> {
         if !self.rate_per_ktick.is_finite() || self.rate_per_ktick <= 0.0 {
             return Err(ServeError::Config(format!(
                 "arrival rate must be positive and finite, got {}",
@@ -206,14 +155,13 @@ impl PoissonArrivals {
 mod tests {
     use super::*;
     use crate::qos::default_classes;
-    use crate::trace::TraceRecord;
 
-    fn spec(rate: f64, n: u32) -> ArrivalSpec {
-        ArrivalSpec::Poisson(PoissonArrivals {
+    fn spec(rate: f64, n: u32) -> PoissonArrivals {
+        PoissonArrivals {
             rate_per_ktick: rate,
             queries: n,
             popularity_skew: 2.0,
-        })
+        }
     }
 
     #[test]
@@ -246,11 +194,11 @@ mod tests {
     #[test]
     fn skew_concentrates_popularity() {
         let classes = default_classes();
-        let skewed = ArrivalSpec::Poisson(PoissonArrivals {
+        let skewed = PoissonArrivals {
             rate_per_ktick: 8.0,
             queries: 5000,
             popularity_skew: 4.0,
-        })
+        }
         .generate(1, 1000, &classes)
         .unwrap();
         let low_half = skewed.iter().filter(|q| q.vertex < 500).count();
@@ -258,31 +206,6 @@ mod tests {
             low_half > 3500,
             "skew 4 should put most mass on low ids, got {low_half}/5000"
         );
-    }
-
-    #[test]
-    fn trace_replay_preserves_records() {
-        let classes = default_classes();
-        let t = QueryTrace {
-            num_classes: 2,
-            vertex_bound: 10,
-            records: vec![
-                TraceRecord {
-                    arrival_tick: 4,
-                    vertex: 1,
-                    class: 0,
-                },
-                TraceRecord {
-                    arrival_tick: 9,
-                    vertex: 3,
-                    class: 1,
-                },
-            ],
-        };
-        let q = ArrivalSpec::Trace(t).generate(0, 10, &classes).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q[1].arrival_tick, 9);
-        assert_eq!(q[1].seq, 1);
     }
 
     #[test]
@@ -325,18 +248,13 @@ mod tests {
         assert!(spec(1.0, 0).generate(0, 10, &classes).is_err());
         assert!(spec(1.0, 10).generate(0, 0, &classes).is_err());
         for skew in [0.0, -2.0, f64::NAN, f64::INFINITY] {
-            let s = ArrivalSpec::Poisson(PoissonArrivals {
+            let s = PoissonArrivals {
                 rate_per_ktick: 1.0,
                 queries: 10,
                 popularity_skew: skew,
-            });
+            };
             assert!(s.generate(0, 10, &classes).is_err(), "skew {skew}");
         }
-        let t = QueryTrace {
-            num_classes: 2,
-            vertex_bound: 100,
-            records: vec![],
-        };
-        assert!(ArrivalSpec::Trace(t).generate(0, 10, &classes).is_err());
+        assert!(spec(1.0, 10).generate(0, 10, &[]).is_err());
     }
 }

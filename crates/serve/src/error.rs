@@ -1,7 +1,5 @@
 //! Structured errors for the serving simulator.
 
-use crate::trace::TraceError;
-
 /// Anything that can stop a serving simulation from running.
 #[derive(Debug)]
 pub enum ServeError {
@@ -11,8 +9,6 @@ pub enum ServeError {
     Graph(hetgraph::GraphError),
     /// The calibration epoch on the cycle-accurate simulator failed.
     Calibration(metanmp::MetanmpError),
-    /// A query trace failed to load or validate.
-    Trace(TraceError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -21,7 +17,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Config(msg) => write!(f, "serve config: {msg}"),
             ServeError::Graph(e) => write!(f, "serve workload: {e}"),
             ServeError::Calibration(e) => write!(f, "serve calibration: {e}"),
-            ServeError::Trace(e) => write!(f, "serve trace: {e}"),
         }
     }
 }
@@ -31,7 +26,6 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Graph(e) => Some(e),
             ServeError::Calibration(e) => Some(e),
-            ServeError::Trace(e) => Some(e),
             ServeError::Config(_) => None,
         }
     }
@@ -46,11 +40,5 @@ impl From<hetgraph::GraphError> for ServeError {
 impl From<metanmp::MetanmpError> for ServeError {
     fn from(e: metanmp::MetanmpError) -> Self {
         ServeError::Calibration(e)
-    }
-}
-
-impl From<TraceError> for ServeError {
-    fn from(e: TraceError) -> Self {
-        ServeError::Trace(e)
     }
 }

@@ -14,8 +14,7 @@
 //! Pipeline, in arrival order:
 //!
 //! 1. **Arrivals** ([`arrival`]) — seeded Poisson with a power-law
-//!    vertex popularity skew, or replay of an on-disk query trace
-//!    ([`trace`], format `QTR1`).
+//!    vertex popularity skew.
 //! 2. **Batching** ([`batch`]) — per-QoS-class accumulation closed by
 //!    a batch-size or deadline policy.
 //! 3. **QoS scheduling** ([`qos`], [`sim`]) — ready batches dispatch
@@ -59,13 +58,12 @@ mod error;
 pub mod qos;
 mod rng;
 pub mod sim;
-pub mod trace;
 pub mod workload;
 
 mod report;
 
 pub use admission::{AdmissionConfig, ShedReason};
-pub use arrival::{ArrivalSpec, PoissonArrivals, Query};
+pub use arrival::{PoissonArrivals, Query};
 pub use batch::BatchPolicy;
 pub use cache::CacheStats;
 pub use error::ServeError;
@@ -78,5 +76,4 @@ pub use report::{
     FaultReport, LatencyStats, ServeReport,
 };
 pub use sim::{simulate, ServeConfig};
-pub use trace::{load_trace, save_trace, QueryTrace, TraceError, TraceRecord};
 pub use workload::ServeWorkload;

@@ -2,6 +2,9 @@
 
 use serde::Serialize;
 
+/// Most QoS classes a table may declare.
+const MAX_CLASSES: usize = 16;
+
 /// One quality-of-service class.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClassSpec {
@@ -51,17 +54,16 @@ pub fn default_classes() -> Vec<ClassSpec> {
     ]
 }
 
-/// Validates a class table: non-empty, positive finite shares,
-/// positive batch bounds.
+/// Validates a class table: one to [`MAX_CLASSES`] classes, positive
+/// finite shares, positive batch bounds.
 pub(crate) fn validate(classes: &[ClassSpec]) -> Result<(), crate::ServeError> {
     if classes.is_empty() {
         return Err(crate::ServeError::Config("no QoS classes".into()));
     }
-    if classes.len() > usize::from(crate::trace::MAX_CLASSES) {
+    if classes.len() > MAX_CLASSES {
         return Err(crate::ServeError::Config(format!(
-            "{} QoS classes exceeds cap {}",
-            classes.len(),
-            crate::trace::MAX_CLASSES
+            "{} QoS classes exceeds cap {MAX_CLASSES}",
+            classes.len()
         )));
     }
     for c in classes {
@@ -106,6 +108,8 @@ mod tests {
         assert!(validate(&c).is_err());
         let mut c = default_classes();
         c[1].max_batch = 0;
+        assert!(validate(&c).is_err());
+        let c = vec![default_classes()[0].clone(); MAX_CLASSES + 1];
         assert!(validate(&c).is_err());
     }
 }

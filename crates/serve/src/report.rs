@@ -204,7 +204,7 @@ pub struct ChaosReport {
 pub struct ServeReport {
     /// Seed the run was driven by.
     pub seed: u64,
-    /// Offered arrival rate in queries per 1024 ticks (0 for traces).
+    /// Offered arrival rate in queries per 1024 ticks.
     pub offered_rate_per_ktick: f64,
     /// Queries that arrived (served + shed + brownouts).
     pub arrived: u64,

@@ -18,7 +18,7 @@ use hgnn::ModelKind;
 use metanmp::FaultConfig;
 
 use crate::admission::{Admission, AdmissionConfig, Breakers, Decision, ShedReason};
-use crate::arrival::{ArrivalSpec, Query};
+use crate::arrival::{PoissonArrivals, Query};
 use crate::batch::{Batcher, ReadyBatch};
 use crate::cache::ReuseCache;
 use crate::qos::{self, ClassSpec};
@@ -43,8 +43,8 @@ pub struct ServeConfig {
     /// Seed of the arrival process (counter-mode; the fault schedule
     /// has its own seed inside [`ServeConfig::faults`]).
     pub seed: u64,
-    /// Where queries come from.
-    pub arrivals: ArrivalSpec,
+    /// The seeded Poisson process the queries arrive by.
+    pub arrivals: PoissonArrivals,
     /// QoS class table.
     pub classes: Vec<ClassSpec>,
     /// Reuse-cache capacity in bytes (0 disables inter-query reuse).
@@ -87,11 +87,11 @@ impl ServeConfig {
             model: ModelKind::Magnn,
             hidden_dim: 16,
             seed: 7,
-            arrivals: ArrivalSpec::Poisson(crate::arrival::PoissonArrivals {
+            arrivals: PoissonArrivals {
                 rate_per_ktick: 4.0,
                 queries: 300,
                 popularity_skew: 2.0,
-            }),
+            },
             classes: qos::default_classes(),
             cache_bytes: 1 << 20,
             faults: FaultConfig::default(),
@@ -498,10 +498,6 @@ pub fn simulate(config: &ServeConfig, workload: &ServeWorkload) -> Result<ServeR
     } else {
         served as f64 / batch_report.total as f64
     };
-    let offered = match &config.arrivals {
-        ArrivalSpec::Poisson(p) => p.rate_per_ktick,
-        ArrivalSpec::Trace(_) => 0.0,
-    };
     let admission_report = AdmissionReport {
         enabled: admission.is_some(),
         accepted: served,
@@ -524,7 +520,7 @@ pub fn simulate(config: &ServeConfig, workload: &ServeWorkload) -> Result<ServeR
 
     Ok(ServeReport {
         seed: config.seed,
-        offered_rate_per_ktick: offered,
+        offered_rate_per_ktick: config.arrivals.rate_per_ktick,
         arrived: arrivals.len() as u64,
         queries: served,
         makespan_ticks: makespan,
@@ -642,11 +638,11 @@ mod tests {
             max_batch: 1,
             max_wait_ticks: 1,
         }];
-        c.arrivals = ArrivalSpec::Poisson(crate::arrival::PoissonArrivals {
+        c.arrivals = PoissonArrivals {
             rate_per_ktick: fraction * capacity,
             queries: 2000,
             popularity_skew: 2.0,
-        });
+        };
         c
     }
 

@@ -1,22 +1,18 @@
 //! End-to-end determinism of the serving simulator across full
 //! rebuilds: two independently built workloads (dataset generation +
 //! calibration epoch each time) must produce byte-identical report
-//! JSON for the same config, and a trace written with `save_trace`
-//! must replay identically to its in-memory original.
+//! JSON for the same config.
 
-use serve::{
-    load_trace, save_trace, ArrivalSpec, PoissonArrivals, QueryTrace, ServeConfig, ServeWorkload,
-    TraceRecord,
-};
+use serve::{PoissonArrivals, ServeConfig, ServeWorkload};
 
 fn config() -> ServeConfig {
     let mut c = ServeConfig::smoke_test();
     c.seed = 11;
-    c.arrivals = ArrivalSpec::Poisson(PoissonArrivals {
+    c.arrivals = PoissonArrivals {
         rate_per_ktick: 60.0,
         queries: 400,
         popularity_skew: 2.0,
-    });
+    };
     c
 }
 
@@ -34,50 +30,4 @@ fn independently_rebuilt_workloads_serve_identically() {
         reports[0], reports[1],
         "two full workload rebuilds produced different reports"
     );
-}
-
-#[test]
-fn saved_trace_replays_identically_to_poisson_original() {
-    let cfg = config();
-    let workload = ServeWorkload::build(&cfg).expect("build workload");
-    let poisson = serve::simulate(&cfg, &workload).expect("simulate poisson");
-
-    // Re-derive the arrival stream exactly as the simulator saw it,
-    // round-trip it through the QTR1 format, and replay it.
-    let queries = cfg
-        .arrivals
-        .generate(cfg.seed, workload.vertex_bound(), &cfg.classes)
-        .expect("regenerate arrivals");
-    let trace = QueryTrace {
-        num_classes: cfg.classes.len() as u16,
-        vertex_bound: workload.vertex_bound(),
-        records: queries
-            .iter()
-            .map(|q| TraceRecord {
-                arrival_tick: q.arrival_tick,
-                vertex: q.vertex,
-                class: q.class,
-            })
-            .collect(),
-    };
-    let mut bytes = Vec::new();
-    save_trace(&trace, &mut bytes).expect("save trace");
-    let loaded = load_trace(bytes.as_slice()).expect("load trace");
-    assert_eq!(loaded, trace, "QTR1 roundtrip changed the trace");
-
-    let mut replay_cfg = cfg.clone();
-    replay_cfg.arrivals = ArrivalSpec::Trace(loaded);
-    let replayed = serve::simulate(&replay_cfg, &workload).expect("simulate replay");
-
-    // The reports differ only in the offered-rate field (traces carry
-    // no rate); everything downstream of arrivals — latency, cache,
-    // batching, per-DIMM work — must match exactly.
-    assert_eq!(
-        poisson.latency, replayed.latency,
-        "replayed latency differs from the live Poisson run"
-    );
-    assert_eq!(poisson.cache, replayed.cache);
-    assert_eq!(poisson.batches, replayed.batches);
-    assert_eq!(poisson.dimms, replayed.dimms);
-    assert_eq!(poisson.makespan_ticks, replayed.makespan_ticks);
 }

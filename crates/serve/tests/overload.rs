@@ -6,7 +6,7 @@
 //! artifacts replay byte-identically.
 
 use faultsim::Scenario;
-use serve::{AdmissionConfig, ArrivalSpec, ClassSpec, PoissonArrivals, ServeConfig, ServeWorkload};
+use serve::{AdmissionConfig, ClassSpec, PoissonArrivals, ServeConfig, ServeWorkload};
 
 /// The scripted chaos scenario: a 3× load spike over the middle of
 /// the arrival span, overlapping a window where the ranks of DIMMs
@@ -48,11 +48,11 @@ fn config(protected: bool) -> ServeConfig {
     // 6× cold capacity (≈5× the warm-cache effective capacity at the
     // observed hit rate), tripling to 18× inside the spike window —
     // deep overload for the whole arrival span.
-    c.arrivals = ArrivalSpec::Poisson(PoissonArrivals {
+    c.arrivals = PoissonArrivals {
         rate_per_ktick: 6.0 * cold_capacity(),
         queries: 10_000,
         popularity_skew: 2.0,
-    });
+    };
     c.scenario = Scenario::parse(SCENARIO).expect("valid scenario");
     if protected {
         c.admission = Some(AdmissionConfig::for_capacity(cold_capacity(), w.dimms()));
