@@ -43,7 +43,11 @@
 //! `--seconds` is a wall-clock cap for CI smoke runs; because the
 //! iteration stream is deterministic, a time-capped run is a prefix of
 //! the corresponding `--iters` run. Exits non-zero on the first panic.
+//! A reader that closes stdout early (`fuzz ... | head -1`) ends the
+//! report, not the run: every lane still runs, the scratch directory is
+//! removed, and the exit code is the run's verdict.
 
+use std::io::{ErrorKind, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -552,6 +556,28 @@ fn scratch_dir() -> PathBuf {
     std::env::temp_dir().join(format!("metanmp-fuzz-{}", std::process::id()))
 }
 
+/// The run's report on stdout. A closed pipe ends the report quietly;
+/// any other write error ends it too and fails the run.
+struct Report {
+    out: Option<std::io::StdoutLock<'static>>,
+    failed: bool,
+}
+
+impl Report {
+    fn line(&mut self, line: std::fmt::Arguments<'_>) {
+        let Some(out) = self.out.as_mut() else {
+            return;
+        };
+        if let Err(e) = writeln!(out, "{line}") {
+            if e.kind() != ErrorKind::BrokenPipe {
+                eprintln!("fuzz: cannot write the report: {e}");
+                self.failed = true;
+            }
+            self.out = None;
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -589,6 +615,10 @@ fn main() -> ExitCode {
         boundaries.push(frame_boundary());
     }
 
+    let mut report = Report {
+        out: Some(std::io::stdout().lock()),
+        failed: false,
+    };
     let start = Instant::now();
     let deadline = opts.seconds.map(std::time::Duration::from_secs);
     let mut failed = false;
@@ -636,24 +666,27 @@ fn main() -> ExitCode {
                 }
             }
         }
-        println!(
+        report.line(format_args!(
             "fuzz: {:<8} {} iters: {} accepted, {} structured rejections, 0 panics",
             b.name,
             accepted + rejected,
             accepted,
             rejected
-        );
+        ));
     }
     let _ = std::fs::remove_dir_all(&dir);
     if failed {
         return ExitCode::FAILURE;
     }
-    println!(
+    report.line(format_args!(
         "fuzz: clean — {completed} total iterations across {} boundary(ies) in {:.1}s \
          (seed {})",
         boundaries.len(),
         start.elapsed().as_secs_f64(),
         opts.seed
-    );
+    ));
+    if report.failed {
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }

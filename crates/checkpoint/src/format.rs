@@ -40,8 +40,13 @@ pub const MAGIC: [u8; 8] = *b"MNMPCKPT";
 /// in-flight service (`service`: statistics, fault tallies and a parked
 /// abort) and unflushed telemetry (`telemetry`, plus each rank's
 /// `busy_cycles`), and the never-written `FunctionalState.slots` is
-/// gone.
-pub const FORMAT_VERSION: u32 = 3;
+/// gone. 4 — the DRAM image keeps only what is in flight: the
+/// per-request `SystemState.pending` array gives way to `inflight` (the
+/// multi-burst requests with bursts still queued) and `completed` (a
+/// digest of every completed request). A version-3 payload has neither
+/// field, so it fails to decode instead of resuming with an empty
+/// ledger.
+pub const FORMAT_VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 32;
 

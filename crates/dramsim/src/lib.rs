@@ -25,16 +25,20 @@
 //! one service call so holds a few dozen per channel at a time. A
 //! queued burst is a 32-byte entry holding the request id, row,
 //! arrival cycle and the compact rank/bank/bank-group/column
-//! coordinates the scheduler reads, and a request's completion is read
-//! on demand with [`MemorySystem::completion`] rather than returned for
-//! every request on every service call. [`MemorySystem::new`] refuses
+//! coordinates the scheduler reads. The system keeps no record of a
+//! request once it completes: a multi-burst request holds a ledger
+//! entry only while some of its bursts are in flight, a single-burst
+//! request completes with its burst, and every completion is folded
+//! into an order-independent [`CompletionDigest`]
+//! ([`MemorySystem::completions`]). Host memory so follows the bursts
+//! in flight, not the length of the run. [`MemorySystem::new`] refuses
 //! topologies beyond 256 ranks per channel, 256 banks per rank or
 //! 65,536 columns per row ([`MemorySystem::check_topology`]).
 //!
 //! # Example
 //!
 //! ```
-//! use dramsim::{DramConfig, MemorySystem, Request};
+//! use dramsim::{Completion, CompletionDigest, DramConfig, MemorySystem, Request};
 //!
 //! let mut sys = MemorySystem::new(DramConfig::default());
 //! let ids: Vec<_> = (0..16u64)
@@ -43,9 +47,17 @@
 //! let report = sys.service_all();
 //! assert_eq!(report.stats.reads, 16);
 //! assert!(report.stats.effective_bandwidth(sys.config()) > 0.0);
-//! // Completion times are read per request, on demand.
-//! let last = ids.iter().filter_map(|&id| sys.completion(id)).map(|c| c.finish).max();
-//! assert_eq!(last, Some(report.stats.elapsed_cycles));
+//! // Consecutive blocks interleave over the four channels, so each
+//! // channel reads four columns of one open row, tCCD_L = 6 cycles
+//! // apart: data at 32..36, 38..42, 44..48 and 50..54. Completions fold
+//! // into a digest as requests retire, and the run ends with the last
+//! // finish.
+//! let expected = ids.iter().enumerate().map(|(i, &id)| {
+//!     let data_start = 32 + 6 * (i as u64 / 4);
+//!     Completion { id, data_start, finish: data_start + 4 }
+//! });
+//! assert_eq!(sys.completions(), expected.collect::<CompletionDigest>());
+//! assert_eq!(report.stats.elapsed_cycles, 54);
 //! ```
 
 #![warn(missing_docs)]
@@ -64,7 +76,7 @@ mod system;
 pub use address::{AddressMapper, Location};
 pub use audit::{AuditError, AuditReport, AuditTally, CmdEvent, CmdKind, Constraint, Perturbation};
 pub use config::{DramConfig, EnergyParams, Timing};
-pub use request::{Completion, Locality, Request, RequestId, RequestKind};
+pub use request::{Completion, CompletionDigest, Locality, Request, RequestId, RequestKind};
 pub use snapshot::{
     BankSnapshot, BurstState, ChannelSnapshot, ChannelTelemetry, InjectorSnapshot, RankSnapshot,
     ServiceState, SystemState,

@@ -126,6 +126,43 @@ pub struct Completion {
     pub finish: u64,
 }
 
+/// Order-independent digest of a set of completions: how many, and the
+/// wrapping sum of a 64-bit hash of each `(id, data_start, finish)`.
+///
+/// Channels retire their bursts in their own order, so the order in
+/// which requests complete depends on how the service was split; the
+/// sum does not. Two systems that complete the same requests at the
+/// same cycles have equal digests, and a digest folded from
+/// hand-computed completions checks a system's completions without the
+/// system keeping one record per request.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CompletionDigest {
+    /// Requests folded in.
+    pub count: u64,
+    /// Wrapping sum of their hashes.
+    pub sum: u64,
+}
+
+impl CompletionDigest {
+    /// Folds one completion in.
+    pub(crate) fn add(&mut self, c: Completion) {
+        use faultsim::rng::splitmix64;
+        let h = splitmix64(splitmix64(splitmix64(c.id.0 as u64) ^ c.data_start) ^ c.finish);
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(h);
+    }
+}
+
+impl FromIterator<Completion> for CompletionDigest {
+    fn from_iter<I: IntoIterator<Item = Completion>>(iter: I) -> Self {
+        let mut digest = CompletionDigest::default();
+        for c in iter {
+            digest.add(c);
+        }
+        digest
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +176,27 @@ mod tests {
             Locality::Broadcast
         );
         assert_eq!(Request::local_write(0, 64).kind, RequestKind::Write);
+    }
+
+    #[test]
+    fn digest_ignores_order_and_sees_every_field() {
+        let c = |id, data_start, finish| Completion {
+            id: RequestId(id),
+            data_start,
+            finish,
+        };
+        let digest: CompletionDigest = [c(0, 32, 36), c(1, 38, 42)].into_iter().collect();
+        let reversed: CompletionDigest = [c(1, 38, 42), c(0, 32, 36)].into_iter().collect();
+        assert_eq!(digest, reversed);
+        assert_eq!(digest.count, 2);
+        for other in [[c(0, 32, 36), c(2, 38, 42)], [c(0, 32, 36), c(1, 39, 42)]] {
+            assert_ne!(digest, other.into_iter().collect::<CompletionDigest>());
+        }
+        // Swapping the two cycles is a different completion.
+        assert_ne!(
+            CompletionDigest::from_iter([c(0, 32, 36)]),
+            CompletionDigest::from_iter([c(0, 36, 32)])
+        );
     }
 
     #[test]

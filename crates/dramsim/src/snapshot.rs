@@ -2,9 +2,11 @@
 //!
 //! [`SystemState`] captures everything [`crate::MemorySystem`] carries
 //! between calls: queued bursts, per-bank row-buffer and timing state,
-//! rank-level scheduling windows, cumulative statistics, pending-request
-//! bookkeeping, the fault injector's stream positions, and each
-//! channel's service in flight. `enqueue` services a channel whose queue
+//! rank-level scheduling windows, cumulative statistics, the ledger of
+//! multi-burst requests still in flight and the digest of every
+//! completed request, the fault injector's stream positions, and each
+//! channel's service in flight. Nothing in it grows with the number of
+//! requests already completed. `enqueue` services a channel whose queue
 //! reaches its high-water mark, so an image can fall between two
 //! `service_all` calls with bursts already serviced: their statistics
 //! and fault tallies wait in [`ServiceState`] for the next merge, and
@@ -26,7 +28,7 @@ use faultsim::{FaultConfig, FaultError, FaultStats, InjectorState};
 
 use crate::audit::AuditTally;
 use crate::config::DramConfig;
-use crate::request::{Locality, RequestKind};
+use crate::request::{CompletionDigest, Locality, RequestKind};
 use crate::stats::MemoryStats;
 
 /// Fault-model image: the configuration the injectors ran under plus
@@ -109,7 +111,8 @@ pub struct ServiceState {
     /// The fault that aborted the channel's service, if any. The channel
     /// is parked: it services nothing more until `service_all` reports
     /// the abort. The burst the abort hit has left the queue without
-    /// retiring, so it stays outstanding in the ledger.
+    /// retiring, so its request never completes: it is counted as in
+    /// flight, and a multi-burst request keeps its ledger entry.
     pub error: Option<FaultError>,
 }
 
@@ -181,11 +184,17 @@ pub struct SystemState {
     pub fault_stats: FaultStats,
     /// Fault stats already published to telemetry.
     pub flushed_faults: FaultStats,
-    /// Per-request `(bursts remaining, first data_start, last finish)`;
-    /// restore requires each request's bursts remaining to equal the
-    /// bursts it has queued across all channels, plus the burst a parked
-    /// channel's abort hit.
-    pub pending: Vec<(usize, u64, u64)>,
+    /// `(request id, bursts remaining, first data_start, last finish)`
+    /// of each multi-burst request with bursts in flight, in id order. A
+    /// single-burst request has no entry: it completes with its burst.
+    /// Restore requires each entry's bursts remaining to equal the bursts
+    /// its request has queued across all channels, plus the burst a
+    /// parked channel's abort hit, and every other request with a burst
+    /// in flight to have exactly one.
+    pub inflight: Vec<(usize, usize, u64, u64)>,
+    /// Digest of every request completed so far. Restore requires its
+    /// count plus the requests in flight to be at most `next_id`.
+    pub completed: CompletionDigest,
     /// Next request id to assign.
     pub next_id: usize,
     /// Fault-injector image, when a model is attached.

@@ -9,7 +9,7 @@
 //! this study — latency, bandwidth, row-buffer behavior, and energy —
 //! at a fraction of the cost.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use faultsim::ecc::{self, EccOutcome};
 use faultsim::{
@@ -20,7 +20,7 @@ use faultsim::{
 use crate::address::{AddressMapper, Location};
 use crate::audit;
 use crate::config::DramConfig;
-use crate::request::{Completion, Locality, Request, RequestId, RequestKind};
+use crate::request::{Completion, CompletionDigest, Locality, Request, RequestId, RequestKind};
 use crate::snapshot::{
     BankSnapshot, BurstState, ChannelSnapshot, ChannelTelemetry, InjectorSnapshot, RankSnapshot,
     ServiceState, SystemState,
@@ -108,7 +108,8 @@ struct ChannelState {
     slices: Vec<(usize, u64, u64)>,
     /// `(request index, data_start, finish)` of the bursts the current
     /// service call retired, in service order; the caller folds them
-    /// into the completion ledger and empties it.
+    /// into the completion ledger and empties it, so it holds at most
+    /// one call's bursts.
     retired: Vec<(usize, u64, u64)>,
     /// Protocol-checker mirror for this channel (zero-sized no-op
     /// without the `audit` feature). Worker-local like everything else
@@ -182,8 +183,8 @@ impl Burst {
     }
 }
 
-/// Result of servicing all queued requests. Per-request completion
-/// times are read on demand with [`MemorySystem::completion`].
+/// Result of servicing all queued requests. Completions are folded into
+/// a digest as requests retire ([`MemorySystem::completions`]).
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Cumulative statistics after servicing.
@@ -196,14 +197,15 @@ pub struct Report {
 /// A DDR4 memory system.
 ///
 /// ```
-/// use dramsim::{DramConfig, MemorySystem, Request};
+/// use dramsim::{Completion, CompletionDigest, DramConfig, MemorySystem, Request};
 /// let mut sys = MemorySystem::new(DramConfig::default());
 /// let id = sys.enqueue(Request::read(0, 64));
-/// assert_eq!(sys.completion(id), None, "still queued");
-/// sys.service_all();
-/// let t = sys.completion(id).expect("serviced");
+/// assert_eq!(sys.completions().count, 0, "still queued");
+/// let report = sys.service_all();
 /// // Idle-bank read: ACT@0, RD@tRCD, data at tRCD+tCL .. +tBL.
-/// assert_eq!(t.finish, 16 + 16 + 4);
+/// let expected = Completion { id, data_start: 16 + 16, finish: 16 + 16 + 4 };
+/// assert_eq!(sys.completions(), CompletionDigest::from_iter([expected]));
+/// assert_eq!(report.stats.elapsed_cycles, expected.finish);
 /// ```
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -211,9 +213,13 @@ pub struct MemorySystem {
     mapper: AddressMapper,
     channels: Vec<ChannelState>,
     stats: MemoryStats,
-    /// (bursts remaining, first data_start, last finish) per request,
-    /// updated as bursts retire.
-    pending: Vec<(usize, u64, u64)>,
+    /// `(bursts remaining, first data_start, last finish)` of each
+    /// multi-burst request with bursts in flight, by request index. An
+    /// entry leaves when the request's last burst retires; a
+    /// single-burst request never has one.
+    inflight: BTreeMap<usize, (usize, u64, u64)>,
+    /// Every request completed so far.
+    completed: CompletionDigest,
     next_id: usize,
     /// Telemetry: the stats already published as counter deltas.
     flushed: MemoryStats,
@@ -246,7 +252,7 @@ struct AuditAccum {
     tally: audit::AuditTally,
     /// Violations already published as telemetry counter deltas.
     flushed_violations: u64,
-    /// Bursts expected per request id (parallel to `pending`).
+    /// Bursts expected per request id.
     expected: Vec<usize>,
     /// Bursts actually retired per request id.
     serviced: Vec<usize>,
@@ -292,7 +298,8 @@ impl MemorySystem {
             mapper: AddressMapper::new(config),
             channels,
             stats: MemoryStats::default(),
-            pending: Vec::new(),
+            inflight: BTreeMap::new(),
+            completed: CompletionDigest::default(),
             next_id: 0,
             flushed: MemoryStats::default(),
             injectors: Vec::new(),
@@ -373,22 +380,14 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// The completion of request `id` — the first data beat and the
-    /// last finish over all its bursts — once every burst has retired.
-    /// `None` until then, including when a fault aborted the service
-    /// before all of them retired, and for an id this system never
-    /// issued. Streaming service retires bursts during
-    /// [`MemorySystem::enqueue`], so a request can complete before
-    /// [`MemorySystem::service_all`].
-    pub fn completion(&self, id: RequestId) -> Option<Completion> {
-        match *self.pending.get(id.0)? {
-            (0, data_start, finish) => Some(Completion {
-                id,
-                data_start,
-                finish,
-            }),
-            _ => None,
-        }
+    /// The digest of every request completed so far: each request's
+    /// first data beat and last finish over all its bursts, folded in
+    /// once its last burst retires. A request a fault aborted before all
+    /// its bursts retired is not in it. Streaming service retires
+    /// bursts during [`MemorySystem::enqueue`], so a request can
+    /// complete before [`MemorySystem::service_all`].
+    pub fn completions(&self) -> CompletionDigest {
+        self.completed
     }
 
     /// Queues a request; larger-than-burst requests are split into
@@ -409,7 +408,9 @@ impl MemorySystem {
         let id = RequestId(self.next_id);
         self.next_id += 1;
         let bursts = req.bytes.div_ceil(self.config.burst_bytes);
-        self.pending.push((bursts, u64::MAX, 0));
+        if bursts > 1 {
+            self.inflight.insert(id.0, (bursts, u64::MAX, 0));
+        }
         #[cfg(feature = "audit")]
         {
             self.audit.expected.push(bursts);
@@ -450,25 +451,42 @@ impl MemorySystem {
     }
 
     /// Folds the bursts channel `ch` retired into the completion ledger
-    /// (and the audit's retirement count). Decrement, minimum and
-    /// maximum commute, so the ledger does not depend on the order in
-    /// which channels are folded.
+    /// (and the audit's retirement count). A request with no ledger entry
+    /// has one burst and completes with it; a multi-burst request's
+    /// entry takes the burst and leaves the ledger with its last one.
+    /// Decrement, minimum, maximum and the digest's sum commute, so
+    /// nothing depends on the order in which channels are folded.
     fn retire(&mut self, ch: usize) {
         for (idx, data_start, finish) in self.channels[ch].retired.drain(..) {
-            let entry = &mut self.pending[idx];
-            entry.0 -= 1;
-            entry.1 = entry.1.min(data_start);
-            entry.2 = entry.2.max(finish);
             #[cfg(feature = "audit")]
             {
                 self.audit.serviced[idx] += 1;
             }
+            let (first, last) = match self.inflight.get_mut(&idx) {
+                None => (data_start, finish),
+                Some(entry) => {
+                    entry.0 -= 1;
+                    entry.1 = entry.1.min(data_start);
+                    entry.2 = entry.2.max(finish);
+                    if entry.0 > 0 {
+                        continue;
+                    }
+                    let (_, first, last) = *entry;
+                    self.inflight.remove(&idx);
+                    (first, last)
+                }
+            };
+            self.completed.add(Completion {
+                id: RequestId(idx),
+                data_start: first,
+                finish: last,
+            });
         }
     }
 
     /// Services every queued request with per-channel FR-FCFS
-    /// scheduling; read each request's times with
-    /// [`MemorySystem::completion`].
+    /// scheduling; the completions fold into
+    /// [`MemorySystem::completions`].
     ///
     /// Bank and bus state persists across calls, so a later
     /// `service_all` continues from the current timeline.
@@ -718,8 +736,9 @@ impl MemorySystem {
     }
 
     /// Conservation: every request's bursts are either retired exactly
-    /// once or still queued, and the completion ledger agrees with the
-    /// queues.
+    /// once or still queued, the completion ledger agrees with the
+    /// queues, and the completion digest counts exactly the requests
+    /// whose bursts have all retired.
     #[cfg(feature = "audit")]
     fn check_retirement(&self, expect_drained: bool, report: &mut audit::AuditReport) {
         let mut queued = vec![0usize; self.audit.expected.len()];
@@ -730,8 +749,18 @@ impl MemorySystem {
                 }
             }
         }
+        let mut retired_requests = 0u64;
         let ledger = self.audit.expected.iter().zip(&self.audit.serviced);
         for (id, ((&expected, &serviced), &in_queue)) in ledger.zip(&queued).enumerate() {
+            if serviced == expected && in_queue == 0 {
+                retired_requests += 1;
+            }
+            // A request with no ledger entry has one burst, outstanding
+            // until it retires.
+            let outstanding = match self.inflight.get(&id) {
+                Some(entry) => entry.0,
+                None => usize::from(expected == 1 && serviced == 0),
+            };
             let violation = if serviced > expected {
                 Some(format!(
                     "request {id} retired {serviced} bursts but only {expected} were enqueued"
@@ -742,11 +771,10 @@ impl MemorySystem {
                      {in_queue} queued — {} lost",
                     expected - serviced - in_queue
                 ))
-            } else if self.pending[id].0 != in_queue {
+            } else if outstanding != in_queue {
                 Some(format!(
-                    "request {id}: completion ledger says {} bursts outstanding \
-                     but {in_queue} are queued",
-                    self.pending[id].0
+                    "request {id}: completion ledger says {outstanding} bursts outstanding \
+                     but {in_queue} are queued"
                 ))
             } else if expect_drained && in_queue != 0 {
                 Some(format!(
@@ -763,6 +791,17 @@ impl MemorySystem {
                     trace: Vec::new(),
                 });
             }
+        }
+        if retired_requests != self.completed.count {
+            report.violations.push(audit::AuditError {
+                constraint: audit::Constraint::Retirement,
+                message: format!(
+                    "completion digest counts {} requests but {retired_requests} \
+                     have retired every burst",
+                    self.completed.count
+                ),
+                trace: Vec::new(),
+            });
         }
     }
 
@@ -864,8 +903,17 @@ impl ChannelWorker<'_> {
         self.ch * ranks_per_channel + usize::from(burst.rank)
     }
 
-    fn record_serviced(&mut self, id: RequestId, data_start: u64, finish: u64) {
-        self.state.retired.push((id.0, data_start, finish));
+    /// Retires a serviced burst: the system folds it into the completion
+    /// ledger after this call. A burst never delivers data before its
+    /// request arrives, and finishes after its first beat.
+    fn record_serviced(&mut self, burst: &Burst, data_start: u64, finish: u64) {
+        debug_assert!(
+            data_start >= burst.arrival && finish > data_start,
+            "request {} retired a burst at {data_start}..{finish} that arrived at {}",
+            burst.id.0,
+            burst.arrival
+        );
+        self.state.retired.push((burst.id.0, data_start, finish));
         let stats = &mut self.state.service.stats;
         stats.elapsed_cycles = stats.elapsed_cycles.max(finish);
     }
@@ -936,7 +984,7 @@ impl ChannelWorker<'_> {
                 finish += self.apply_burst_faults(&burst, injector)?;
                 watchdog.progress();
             }
-            self.record_serviced(burst.id, data_start, finish);
+            self.record_serviced(&burst, data_start, finish);
         }
         Ok(())
     }
@@ -1281,7 +1329,12 @@ impl checkpoint::Snapshot for MemorySystem {
             flushed: self.flushed,
             fault_stats: self.fault_stats,
             flushed_faults: self.flushed_faults,
-            pending: self.pending.clone(),
+            inflight: self
+                .inflight
+                .iter()
+                .map(|(&id, &(remaining, data_start, finish))| (id, remaining, data_start, finish))
+                .collect(),
+            completed: self.completed,
             next_id: self.next_id,
             injector: self.injectors.first().map(|first| InjectorSnapshot {
                 config: *first.config(),
@@ -1363,18 +1416,19 @@ impl checkpoint::Restore for MemorySystem {
         let ranks_per_channel = self.config.dimms_per_channel * self.config.ranks_per_dimm;
         let banks = self.config.banks_per_rank();
         let groups = self.config.bank_groups;
-        if state.next_id != state.pending.len() {
-            return Err(RestoreError::new(format!(
-                "snapshot next_id {} disagrees with {} pending entries",
-                state.next_id,
-                state.pending.len()
-            )));
-        }
         // Bursts each request still has in flight — queued, or hit by
         // the abort that parked a channel — checked against the ledger
         // below: servicing retires exactly one ledger burst per queued
-        // burst.
-        let mut queued = vec![0usize; state.pending.len()];
+        // burst. The map holds only what is in flight, never the run.
+        let mut in_flight: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut note = |c: usize, id: u64, what: &str| -> Result<(), RestoreError> {
+            let known = usize::try_from(id).ok().filter(|&id| id < state.next_id);
+            let id = known.ok_or_else(|| {
+                RestoreError::new(format!("channel {c}: {what} unknown request {id}"))
+            })?;
+            *in_flight.entry(id).or_default() += 1;
+            Ok(())
+        };
         for (c, ch) in state.channels.iter().enumerate() {
             if ch.ranks.len() != ranks_per_channel {
                 return Err(RestoreError::new(format!(
@@ -1399,25 +1453,10 @@ impl checkpoint::Restore for MemorySystem {
                 )));
             }
             if let Some(FaultError::Mem(e)) = &ch.service.error {
-                let Some(n) = usize::try_from(e.request)
-                    .ok()
-                    .and_then(|id| queued.get_mut(id))
-                else {
-                    return Err(RestoreError::new(format!(
-                        "channel {c}: parked on unknown request {}",
-                        e.request
-                    )));
-                };
-                *n += 1;
+                note(c, e.request, "parked on")?;
             }
             for b in &ch.queue {
-                let Some(n) = queued.get_mut(b.id) else {
-                    return Err(RestoreError::new(format!(
-                        "channel {c}: queued burst references unknown request {}",
-                        b.id
-                    )));
-                };
-                *n += 1;
+                note(c, b.id as u64, "queued burst references")?;
                 let home = self.mapper.map(b.addr).channel;
                 if home != c {
                     return Err(RestoreError::new(format!(
@@ -1427,13 +1466,42 @@ impl checkpoint::Restore for MemorySystem {
                 }
             }
         }
-        for (id, (&(outstanding, _, _), &in_queue)) in state.pending.iter().zip(&queued).enumerate()
-        {
+        // Each ledger entry is a multi-burst request with exactly its
+        // outstanding bursts in flight; any other request in flight is
+        // a single-burst one.
+        let mut inflight = BTreeMap::new();
+        for &(id, outstanding, data_start, finish) in &state.inflight {
+            if id >= state.next_id || outstanding == 0 || inflight.contains_key(&id) {
+                return Err(RestoreError::new(format!(
+                    "ledger entry for request {id} is unknown, empty or repeated"
+                )));
+            }
+            let in_queue = in_flight.get(&id).copied().unwrap_or(0);
             if outstanding != in_queue {
                 return Err(RestoreError::new(format!(
                     "request {id}: ledger says {outstanding} bursts outstanding but {in_queue} are queued"
                 )));
             }
+            inflight.insert(id, (outstanding, data_start, finish));
+        }
+        if let Some((id, n)) = in_flight
+            .iter()
+            .find(|&(id, &n)| n != 1 && !inflight.contains_key(id))
+        {
+            return Err(RestoreError::new(format!(
+                "request {id}: ledger has no entry but {n} bursts are queued"
+            )));
+        }
+        // Every request in flight has a distinct id below `next_id`, so
+        // the difference cannot underflow, and comparing it (rather than
+        // adding to the image's count) cannot overflow.
+        if state.completed.count > (state.next_id - in_flight.len()) as u64 {
+            return Err(RestoreError::new(format!(
+                "snapshot counts {} completed and {} unfinished requests but issued only {}",
+                state.completed.count,
+                in_flight.len(),
+                state.next_id
+            )));
         }
 
         self.injectors = match &state.injector {
@@ -1460,7 +1528,7 @@ impl checkpoint::Restore for MemorySystem {
         self.flushed = state.flushed;
         self.fault_stats = state.fault_stats;
         self.flushed_faults = state.flushed_faults;
-        self.pending = state.pending.clone();
+        self.completed = state.completed;
         self.next_id = state.next_id;
         self.channels = state
             .channels
@@ -1511,8 +1579,9 @@ impl checkpoint::Restore for MemorySystem {
                 perturb: audit::Perturbation::None,
             })
             .collect();
+        self.inflight = inflight;
         // The image's audit tallies carry over; the retirement ledger
-        // restarts from the pending set, and the mirrors re-seed from
+        // restarts from the bursts in flight, and the mirrors re-seed from
         // the snapshot's open rows and refresh epochs. The
         // refresh-energy baseline absorbs the pre-snapshot pJ —
         // merged, or held by a channel's in-flight service — that the
@@ -1530,8 +1599,10 @@ impl checkpoint::Restore for MemorySystem {
             self.audit = AuditAccum {
                 flushed_violations: tally.violations.len() as u64,
                 tally,
-                expected: state.pending.iter().map(|&(n, _, _)| n).collect(),
-                serviced: vec![0; state.pending.len()],
+                expected: (0..state.next_id)
+                    .map(|id| in_flight.get(&id).copied().unwrap_or(0))
+                    .collect(),
+                serviced: vec![0; state.next_id],
                 refresh_pj_base: energy - counted as f64 * self.config.energy.refresh_pj,
             };
             for (ch_state, snap) in self.channels.iter_mut().zip(&state.channels) {
@@ -1555,17 +1626,16 @@ mod tests {
         }
     }
 
-    /// The completion of the `i`-th request issued to `sys`, which
-    /// must have retired.
-    #[track_caller]
-    fn done(sys: &MemorySystem, i: usize) -> Completion {
-        sys.completion(RequestId(i)).expect("request retired")
-    }
-
-    /// Every issued request's completion, in issue order.
-    fn all_completions(sys: &MemorySystem) -> Vec<Option<Completion>> {
-        (0..sys.next_id)
-            .map(|i| sys.completion(RequestId(i)))
+    /// The digest of hand-computed `(request index, data_start,
+    /// finish)` completions.
+    fn digest(completions: &[(usize, u64, u64)]) -> CompletionDigest {
+        completions
+            .iter()
+            .map(|&(i, data_start, finish)| Completion {
+                id: RequestId(i),
+                data_start,
+                finish,
+            })
             .collect()
     }
 
@@ -1574,10 +1644,9 @@ mod tests {
         let mut sys = MemorySystem::new(single_channel());
         sys.enqueue(Request::read(0, 64));
         let r = sys.service_all();
-        let t = done(&sys, 0);
         // ACT@0, RD@tRCD=16, data @ 32..36.
-        assert_eq!(t.data_start, 32);
-        assert_eq!(t.finish, 36);
+        assert_eq!(sys.completions(), digest(&[(0, 32, 36)]));
+        assert_eq!(r.stats.elapsed_cycles, 36, "ends with the last finish");
         assert_eq!(r.stats.activates, 1);
         assert_eq!(r.stats.row_misses, 1);
     }
@@ -1590,9 +1659,10 @@ mod tests {
         sys.enqueue(Request::read(64 * cfg.channels as u64, 64)); // same row, next column
         let r = sys.service_all();
         assert_eq!(r.stats.row_hits, 1);
-        // Second read: col at tCCD_L after first col (same bank group),
-        // data 16+6+16=38..42 — well before a fresh ACT would allow.
-        assert_eq!(done(&sys, 1).finish, 42);
+        // First read: data 32..36. Second read: col at tCCD_L after the
+        // first col (same bank group), data 16+6+16=38..42 — well before
+        // a fresh ACT would allow.
+        assert_eq!(sys.completions(), digest(&[(0, 32, 36), (1, 38, 42)]));
     }
 
     #[test]
@@ -1623,9 +1693,9 @@ mod tests {
         let r = sys.service_all();
         assert_eq!(r.stats.precharges, 1);
         assert_eq!(r.stats.activates, 2);
-        // Second: PRE at tRAS=39, ACT at 39+16=55 (=tRC), RD at 71,
-        // data 87..91.
-        assert_eq!(done(&sys, 1).finish, 91);
+        // First: data 32..36. Second: PRE at tRAS=39, ACT at 39+16=55
+        // (=tRC), RD at 71, data 87..91.
+        assert_eq!(sys.completions(), digest(&[(0, 32, 36), (1, 87, 91)]));
     }
 
     #[test]
@@ -1648,9 +1718,15 @@ mod tests {
         }
         let r = sys.service_all();
         assert_eq!(r.stats.activates, 5);
-        // ACTs at 0, 4, 8, 12 (tRRD_S); the fifth must wait for
+        // ACTs at 0, 4, 8, 12 (tRRD_S), so the first four reads stream
+        // back to back on the bus from 32; the fifth must wait for
         // tFAW=26 from the first: data at 26+16+16=58..62.
-        assert_eq!(done(&sys, 4).finish, 62);
+        let first_four = [(0, 32, 36), (1, 36, 40), (2, 40, 44), (3, 44, 48)];
+        assert_eq!(
+            sys.completions(),
+            digest(&[&first_four[..], &[(4, 58, 62)]].concat())
+        );
+        assert_eq!(r.stats.elapsed_cycles, 62, "ends with the last finish");
     }
 
     #[test]
@@ -1743,9 +1819,16 @@ mod tests {
         let cfg = single_channel();
         let mut sys = MemorySystem::new(cfg);
         let id = sys.enqueue(Request::read(0, 256)); // 4 bursts
+        assert_eq!(sys.inflight[&id.0], (4, u64::MAX, 0));
         let r = sys.service_all();
-        let c = sys.completion(id).expect("serviced");
-        assert!(c.finish > c.data_start + 4);
+        // Four columns of one bank group, tCCD_L=6 apart: data 32..36
+        // through 50..54, and the request completes with the last.
+        assert_eq!(sys.completions(), digest(&[(id.0, 32, 54)]));
+        assert!(
+            sys.inflight.is_empty(),
+            "the entry left with the last burst"
+        );
+        assert_eq!(r.stats.elapsed_cycles, 54, "ends with the last finish");
         assert_eq!(r.stats.reads, 4);
     }
 
@@ -1770,16 +1853,16 @@ mod tests {
         let mut sys = MemorySystem::new(single_channel());
         let first = sys.enqueue(Request::read(0, 64));
         sys.service_all();
-        let before = sys.completion(first);
+        assert_eq!(sys.completions(), digest(&[(first.0, 32, 36)]));
         let second = sys.enqueue(Request::read(1 << 20, 64));
         let r = sys.service_all();
         assert_eq!(r.stats.reads, 2);
+        // The earlier completion stays put; the second read conflicts
+        // with the row the first left open (PRE at tRAS=39, data 87..91).
         assert_eq!(
-            sys.completion(first),
-            before,
-            "earlier completions stay put"
+            sys.completions(),
+            digest(&[(first.0, 32, 36), (second.0, 87, 91)])
         );
-        assert!(sys.completion(second).expect("serviced").finish > before.unwrap().finish);
     }
 
     #[test]
@@ -1818,11 +1901,12 @@ mod tests {
         sys.enqueue(Request::read(0, 64).at_cycle(t.t_refi + 1));
         let r = sys.service_all();
         assert_eq!(r.stats.row_misses, 2, "row closed by refresh");
-        assert!(
-            done(&sys, 1).data_start >= t.t_refi + t.t_rfc,
-            "second read must wait out the refresh window: {} < {}",
-            done(&sys, 1).data_start,
-            t.t_refi + t.t_rfc
+        // The second read waits out the refresh window: ACT at
+        // tREFI+tRFC, then tRCD and tCL to its first beat.
+        let second = t.t_refi + t.t_rfc + t.t_rcd + t.t_cl;
+        assert_eq!(
+            sys.completions(),
+            digest(&[(0, 32, 36), (1, second, second + t.t_bl)])
         );
         assert!(r.stats.energy.refresh_pj > 0.0);
     }
@@ -1844,7 +1928,8 @@ mod tests {
         let mut sys = MemorySystem::new(single_channel());
         sys.enqueue(Request::read(0, 64).at_cycle(1000));
         sys.service_all();
-        assert!(done(&sys, 0).data_start >= 1000);
+        // ACT at the arrival cycle, data 32 cycles later.
+        assert_eq!(sys.completions(), digest(&[(0, 1032, 1036)]));
     }
 
     #[test]
@@ -1858,7 +1943,8 @@ mod tests {
         let a = plain.service_all();
         let b = faulty.try_service_all().expect("zero-rate cannot fail");
         assert_eq!(a.stats, b.stats);
-        assert_eq!(all_completions(&plain), all_completions(&faulty));
+        assert_eq!(plain.completions().count, 64);
+        assert_eq!(plain.completions(), faulty.completions());
         assert!(b.faults.is_empty());
     }
 
@@ -2040,7 +2126,8 @@ mod tests {
         let b = resumed.try_service_all().expect("recoverable faults");
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.faults, b.faults);
-        assert_eq!(all_completions(&reference), all_completions(&resumed));
+        assert_eq!(reference.completions().count, 256);
+        assert_eq!(reference.completions(), resumed.completions());
     }
 
     /// Snapshots in the middle of a streamed service: channel 0 holds a
@@ -2120,7 +2207,7 @@ mod tests {
         assert_eq!(a.map(|r| r.stats), b.map(|r| r.stats));
         assert_eq!(reference.fault_stats(), resumed.fault_stats());
         assert_eq!(reference.fault_stats().watchdog_trips, 1);
-        assert_eq!(all_completions(&reference), all_completions(&resumed));
+        assert_eq!(reference.completions(), resumed.completions());
         assert_eq!(reference.snapshot(), resumed.snapshot());
     }
 
@@ -2156,17 +2243,79 @@ mod tests {
         let mut sys = MemorySystem::new(single_channel());
         sys.enqueue(Request::read(0, 128)); // two bursts
         let state = sys.snapshot();
+        assert_eq!(state.inflight, vec![(0, 2, u64::MAX, 0)]);
         assert!(MemorySystem::from_state(&state).is_ok());
         // More bursts queued than outstanding: servicing them would
         // drive the ledger count below zero.
         let mut overfull = state.clone();
-        overfull.pending[0].0 = 1;
+        overfull.inflight[0].1 = 1;
         // Fewer: the request could never complete.
-        let mut short = state;
+        let mut short = state.clone();
         short.channels[0].queue.pop();
-        for bad in [overfull, short] {
+        // No entry at all: each burst would complete the request.
+        let mut missing = state.clone();
+        missing.inflight.clear();
+        for bad in [overfull, short, missing] {
             let err = MemorySystem::from_state(&bad).expect_err("inconsistent ledger");
-            assert!(err.0.contains("request 0: ledger says"), "{err}");
+            assert!(err.0.contains("request 0: ledger"), "{err}");
+        }
+        // A completed request besides the one in flight: more requests
+        // than were issued, also at a count no sum could hold.
+        for count in [1, u64::MAX] {
+            let mut overcounted = state.clone();
+            overcounted.completed.count = count;
+            let err = MemorySystem::from_state(&overcounted).expect_err("too many requests");
+            assert!(err.0.contains("issued only 1"), "{err}");
+        }
+    }
+
+    /// A long fault-free stream keeps a ledger entry only for a request
+    /// with bursts still queued: however many requests have completed,
+    /// the image never holds more entries than queued bursts, and the
+    /// queues stay below the high-water mark.
+    #[test]
+    fn ledger_holds_only_requests_in_flight() {
+        use checkpoint::Snapshot;
+        // One channel, where a multi-burst request stays on its channel,
+        // and four, where it stripes across them.
+        for cfg in [single_channel(), DramConfig::default()] {
+            let high_water = HIGH_WATER.max(4 * cfg.sched_window);
+            let mut sys = MemorySystem::new(cfg);
+            let requests = 100_000u64;
+            let mut entries_seen = 0;
+            for i in 0..requests {
+                let addr = (i * 7 * 64) ^ ((i % 13) << 21);
+                let req = match i % 4 {
+                    0 => Request::local_read(addr, 64),
+                    1 => Request::write(addr, 64),
+                    2 => Request::local_write(addr, 128),
+                    _ => Request::read(addr, 256),
+                };
+                sys.enqueue(req);
+                if i % 12_500 != 12_499 {
+                    continue;
+                }
+                let state = sys.snapshot();
+                let queued: Vec<usize> = state
+                    .channels
+                    .iter()
+                    .flat_map(|c| c.queue.iter().map(|b| b.id))
+                    .collect();
+                assert!(queued.len() < cfg.channels * high_water);
+                assert!(state.inflight.len() <= queued.len());
+                for &(id, outstanding, ..) in &state.inflight {
+                    let n = queued.iter().filter(|&&q| q == id).count();
+                    assert_eq!(n, outstanding, "request {id} after {i}");
+                }
+                entries_seen += state.inflight.len();
+            }
+            assert!(
+                entries_seen > 0,
+                "some snapshot caught a multi-burst request"
+            );
+            sys.service_all();
+            assert!(sys.inflight.is_empty());
+            assert_eq!(sys.completions().count, requests);
         }
     }
 
@@ -2249,27 +2398,30 @@ mod tests {
         let mut striped = MemorySystem::new(cfg);
         busy_channel_2(&mut striped);
         let id = striped.enqueue(Request::read(0, 256)); // one burst per channel
-        assert_eq!(striped.completion(id), None, "queued");
+        assert_eq!(striped.completions().count, 0, "queued");
         striped.service_all();
         // The same four bursts as separate requests, in the same order.
         let mut split = MemorySystem::new(cfg);
         busy_channel_2(&mut split);
-        let ids: Vec<RequestId> = (0..4u64)
-            .map(|i| split.enqueue(Request::read(i * 64, 64)))
-            .collect();
+        for i in 0..4u64 {
+            split.enqueue(Request::read(i * 64, 64));
+        }
         split.service_all();
-        let parts: Vec<Completion> = ids.iter().map(|&p| done(&split, p.0)).collect();
-        let c = striped.completion(id).expect("retired");
-        assert_eq!(c.id, id);
-        let first = parts.iter().map(|p| p.data_start).min();
-        let last = parts.iter().map(|p| p.finish).max();
-        assert_eq!((Some(c.data_start), Some(c.finish)), (first, last));
-        assert!(parts[2].finish > parts[0].finish, "channel 2 finishes last");
+        // Channel 2's row conflicts: data 32..36, then each PRE/ACT
+        // tRC=55 after the last. The parts on channels 0, 1 and 3 read
+        // idle banks; channel 2's part queues behind the conflicts.
+        let busy = [(0, 32, 36), (1, 87, 91), (2, 142, 146)];
+        let parts = [(3, 32, 36), (4, 32, 36), (5, 197, 201), (6, 32, 36)];
+        assert_eq!(split.completions(), digest(&[&busy[..], &parts].concat()));
+        // The striped request completes once, at the first beat and the
+        // last finish over its parts.
+        let first = parts.iter().map(|p| p.1).min().expect("four parts");
+        let last = parts.iter().map(|p| p.2).max().expect("four parts");
         assert_eq!(
-            striped.completion(RequestId(id.0 + 1)),
-            None,
-            "never issued"
+            striped.completions(),
+            digest(&[&busy[..], &[(id.0, first, last)]].concat())
         );
+        assert!(striped.inflight.is_empty());
 
         // A stalled rank on channel 1 trips that channel's watchdog: the
         // striped request's channel-1 burst stays queued after the abort.
@@ -2285,8 +2437,8 @@ mod tests {
             aborted.try_service_all(),
             Err(FaultError::Watchdog(_))
         ));
-        assert!(aborted.completion(healthy).is_some());
-        assert_eq!(aborted.completion(stuck), None, "a burst is still queued");
+        assert_eq!(aborted.completions(), digest(&[(healthy.0, 32, 36)]));
+        assert_eq!(aborted.inflight[&stuck.0].0, 1, "a burst is still queued");
     }
 
     /// Digest of the snapshot JSON of a fixed mixed stream — channel,
@@ -2297,9 +2449,10 @@ mod tests {
     /// produced; re-recorded when channels began to carry their
     /// in-flight service, after checking that the queues, the ledger
     /// and the stats serialize to the same bytes as before (48 bursts
-    /// per channel stay below the high-water mark). An audited build's
-    /// image also carries its checker's tallies, so it has its own
-    /// digest.
+    /// per channel stay below the high-water mark), and again when the
+    /// per-request ledger gave way to the in-flight entries and the
+    /// completion digest. An audited build's image also carries its
+    /// checker's tallies, so it has its own digest.
     #[test]
     fn snapshot_bytes_match_the_golden_digest() {
         use checkpoint::Snapshot;
@@ -2323,9 +2476,9 @@ mod tests {
         stream(&mut sys, 1 << 30);
         let json = serde_json::to_string(&sys.snapshot()).expect("serializes");
         let golden = if cfg!(feature = "audit") {
-            0xfd56_274e_1bdc_a893
+            0x2729_e5b3_3607_714c
         } else {
-            0x846a_a486_7130_24fc
+            0x697d_e9e8_76fd_4387
         };
         assert_eq!(checkpoint::fnv1a64(json.as_bytes()), golden);
     }
@@ -2337,9 +2490,12 @@ mod tests {
     /// tREFI, ECC retries, stuck-row and failed-bank remaps, and
     /// watchdog trips. Each round queues about 1,200 bursts per
     /// channel, so streamed service crosses the high-water mark many
-    /// times. Recorded when every burst still waited for the one
+    /// times. First recorded when every burst still waited for the one
     /// service call, so it pins streamed service to the batch's picks,
-    /// issue cycles and fault draws.
+    /// issue cycles and fault draws. Re-recorded when the completions
+    /// became a digest, by folding the per-request completions the
+    /// batch-pinned scheduler still reported into that digest, so the
+    /// value stays the batch scheduler's.
     #[test]
     fn streamed_service_matches_the_batch_digest() {
         let faulted = FaultConfig {
@@ -2388,16 +2544,12 @@ mod tests {
                 let f = sys.fault_stats();
                 assert!(f.read_retries > 0 && f.row_remaps > 0 && f.bank_remaps > 0);
             }
-            for c in all_completions(&sys) {
-                record += &match c {
-                    Some(c) => format!("{}:{}:{};", c.id.0, c.data_start, c.finish),
-                    None => "-;".to_string(),
-                };
-            }
+            let done = sys.completions();
+            record += &format!("{}:{};", done.count, done.sum);
         }
         assert_eq!(
             checkpoint::fnv1a64(record.as_bytes()),
-            0x9b0e_b4b2_1d9f_9d6a
+            0xd821_0e4b_4f34_6f2e
         );
     }
 
@@ -2534,6 +2686,50 @@ mod tests {
             assert_eq!(resumed.audit_report(true), expected);
         }
 
+        /// A burst serviced twice, or one that vanished from its queue,
+        /// is a retirement violation naming its request.
+        #[test]
+        fn audit_flags_a_lost_or_doubly_retired_burst() {
+            let mut doubled = MemorySystem::new(single_channel());
+            doubled.enqueue(Request::read(0, 64));
+            let copy = doubled.channels[0].queue[0];
+            doubled.channels[0].queue.push_back(copy);
+            doubled.service_all();
+            let report = doubled.audit_report(true);
+            let messages: Vec<&str> = report
+                .violations
+                .iter()
+                .filter(|v| v.constraint == Constraint::Retirement)
+                .map(|v| v.message.as_str())
+                .collect();
+            assert!(
+                messages.contains(&"request 0 retired 2 bursts but only 1 were enqueued"),
+                "{messages:?}"
+            );
+            assert!(
+                messages
+                    .iter()
+                    .any(|m| m.starts_with("completion digest counts 2")),
+                "{messages:?}"
+            );
+
+            let mut lost = MemorySystem::new(single_channel());
+            lost.enqueue(Request::read(0, 64));
+            lost.enqueue(Request::read(64, 128)); // two bursts
+            lost.channels[0].queue.pop_back();
+            lost.service_all();
+            let report = lost.audit_report(true);
+            assert_eq!(report.violations.len(), 1, "{}", report.summary());
+            assert_eq!(report.violations[0].constraint, Constraint::Retirement);
+            assert!(
+                report.violations[0]
+                    .message
+                    .starts_with("request 1: 2 bursts enqueued"),
+                "{}",
+                report.summary()
+            );
+        }
+
         #[test]
         fn undrained_queue_is_a_retirement_violation() {
             let cfg = FaultConfig {
@@ -2652,7 +2848,7 @@ mod tests {
             sys.audit_perturb(Perturbation::EarlyPrecharge);
             sys.enqueue(Request::read(0, 64));
             sys.service_all();
-            assert_eq!(done(&sys, 0).finish, 36);
+            assert_eq!(sys.completions(), digest(&[(0, 32, 36)]));
             assert!(sys.audit_report(true).is_clean());
         }
     }

@@ -776,6 +776,44 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A version-3 checkpoint carries the DRAM image's per-request
+    /// `pending` ledger and neither in-flight entries nor a completion
+    /// digest. Loading it is a structured error; the run never resumes
+    /// with an empty ledger.
+    #[test]
+    fn version_3_checkpoint_is_refused() {
+        let dir = scratch("v3");
+        let ckpt = dir.join("run.ckpt");
+        let sim = small_sim(Some(ckpt.clone()));
+        let stop = AtomicBool::new(true);
+        assert!(matches!(
+            sim.run_interruptible(&stop).unwrap(),
+            RunStatus::Interrupted
+        ));
+        let bytes = std::fs::read(&ckpt).unwrap();
+        let json = std::str::from_utf8(&bytes[32..]).unwrap();
+        let start = json.find(",\"inflight\":").expect("ledger field");
+        let end = json.find(",\"next_id\":").expect("id field");
+        let v3 = format!(
+            "{},\"pending\":[[0,{},0]]{}",
+            &json[..start],
+            u64::MAX,
+            &json[end..]
+        );
+        let hash = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+        let mut framed = checkpoint::encode(hash, v3.as_bytes());
+        framed[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&ckpt, &framed).unwrap();
+        match sim.run() {
+            Err(MetanmpError::Checkpoint(checkpoint::CheckpointError::Malformed {
+                detail,
+                ..
+            })) => assert!(detail.contains("expected array"), "{detail}"),
+            other => panic!("a version-3 image must be refused, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn mismatched_config_checkpoint_is_refused() {
         let dir = scratch("fingerprint");

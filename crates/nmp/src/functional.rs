@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use dramsim::{MemorySystem, Request};
+use dramsim::MemorySystem;
 use faultsim::{FaultInjector, FaultStats};
 use hetgraph::cartesian::walk_prefix_tree;
 use hetgraph::cartesian::WalkEvent;
@@ -43,7 +43,7 @@ use crate::config::NmpConfig;
 use crate::cost::{self, BusTraffic};
 use crate::distribution::distribute;
 use crate::error::NmpError;
-use crate::layout::Placement;
+use crate::layout::{Home, Placement};
 use crate::report::{NmpCounts, NmpReport};
 use crate::resilience;
 use crate::snapshot::FunctionalState;
@@ -56,7 +56,8 @@ const PAR_MIN_BATCH_VISITS: usize = 32;
 
 /// Per-worker scratch for [`compute_visit`], sized once per
 /// (metapath, worker) and reused across every start vertex the worker
-/// visits, so the structural walk itself allocates only its delta.
+/// visits, so the structural walk itself allocates only its delta: the
+/// embedding row and one 16-byte [`Transfer`] per vector it moves.
 #[derive(Debug)]
 struct VisitScratch {
     prefix: Vec<Vec<f32>>,
@@ -82,6 +83,38 @@ impl VisitScratch {
     }
 }
 
+/// One rank-local vector transfer of a visit: `bytes` at rank offset
+/// `offset` of the visit's home rank, read or written. A batch buffers
+/// its visits' deltas until they are applied, so a transfer is kept as
+/// 16 bytes — the offset, and the byte count shifted left by one with
+/// the direction in the low bit — rather than as the 32-byte 64-B
+/// requests it becomes: four of them per vector at hidden dimension
+/// 64. [`ResumableRun::apply_visit`] expands it with
+/// [`Placement::rank_vec`].
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    offset: u64,
+    /// `bytes << 1 | write`.
+    len: u64,
+}
+
+impl Transfer {
+    fn new(offset: u64, bytes: usize, write: bool) -> Self {
+        Transfer {
+            offset,
+            len: (bytes as u64) << 1 | u64::from(write),
+        }
+    }
+
+    fn bytes(self) -> usize {
+        (self.len >> 1) as usize
+    }
+
+    fn write(self) -> bool {
+        self.len & 1 == 1
+    }
+}
+
 /// Everything one start vertex's visit produces. Visits are pure with
 /// respect to the run (vertices touch disjoint embedding rows, and the
 /// reserved aggregation region is recycled per vertex), so deltas can
@@ -91,8 +124,10 @@ impl VisitScratch {
 #[derive(Debug)]
 struct VisitDelta {
     start: u32,
-    /// Rank-local DRAM requests, in issue order.
-    requests: Vec<Request>,
+    /// The start vertex's home: every transfer moves data on this rank.
+    home: Home,
+    /// Rank-local vector transfers, in issue order.
+    transfers: Vec<Transfer>,
     instances: u128,
     aggregations: u128,
     copies: u128,
@@ -105,9 +140,6 @@ struct VisitDelta {
     host_agg_bytes: f64,
     demand_bytes: f64,
     host_extra_cycles: u64,
-    dimm: usize,
-    rank: usize,
-    channel: usize,
     /// The embedding row for `start`, when the visit produced one.
     row: Option<Vec<f32>>,
 }
@@ -152,7 +184,8 @@ fn compute_visit(
 
     let mut delta = VisitDelta {
         start,
-        requests: Vec::new(),
+        home,
+        transfers: Vec::new(),
         instances: 0,
         aggregations: 0,
         copies: 0,
@@ -163,9 +196,6 @@ fn compute_visit(
         host_agg_bytes: 0.0,
         demand_bytes: 0.0,
         host_extra_cycles: 0,
-        dimm: home.global_dimm(&cfg.dram),
-        rank: home.global_rank(&cfg.dram),
-        channel: home.channel,
         row: None,
     };
     let mut next_slot = 0;
@@ -175,8 +205,8 @@ fn compute_visit(
     // The start vertex's own feature is read from its home rank once
     // per wave.
     delta
-        .requests
-        .extend(placement.rank_vec(home, placement.feature_offset(start), vb, false));
+        .transfers
+        .push(Transfer::new(placement.feature_offset(start), vb, false));
 
     walk_prefix_tree(graph, mp, VertexId::new(start), |ev| match ev {
         WalkEvent::Enter(depth, u) => {
@@ -216,8 +246,7 @@ fn compute_visit(
                             // written to the reserved region (it is
                             // re-read by the inter-instance pass).
                             delta.compute += vec_op;
-                            delta.requests.extend(placement.rank_vec(
-                                home,
+                            delta.transfers.push(Transfer::new(
                                 placement.agg_offset(slot),
                                 vb,
                                 true,
@@ -237,12 +266,9 @@ fn compute_visit(
                     slot_stack[depth] = slot;
                     if cfg.aggregate_in_nmp {
                         delta.compute += 2 * vec_op;
-                        delta.requests.extend(placement.rank_vec(
-                            home,
-                            placement.agg_offset(slot),
-                            vb,
-                            true,
-                        ));
+                        delta
+                            .transfers
+                            .push(Transfer::new(placement.agg_offset(slot), vb, true));
                     } else {
                         delta.host_agg_bytes += 2.0 * vb as f64;
                         delta.host_extra_cycles += d as u64 / 2 + 4;
@@ -262,8 +288,7 @@ fn compute_visit(
                             delta.compute += hops as u64 * vec_op;
                             let slot = next_slot;
                             next_slot += 1;
-                            delta.requests.extend(placement.rank_vec(
-                                home,
+                            delta.transfers.push(Transfer::new(
                                 placement.agg_offset(slot),
                                 vb,
                                 true,
@@ -334,27 +359,23 @@ fn compute_visit(
         if cfg.aggregate_in_nmp {
             delta.compute += n_inst * vec_op + vec_op;
             if cfg.reuse || kind == ModelKind::Magnn {
-                delta.requests.extend(placement.rank_vec(
-                    home,
+                delta.transfers.push(Transfer::new(
                     placement.agg_offset(0),
                     (n_inst as usize).max(1) * vb,
                     false,
                 ));
             }
-            delta.requests.extend(placement.rank_vec(
-                home,
-                placement.output_offset(start),
-                vb,
-                true,
-            ));
+            delta
+                .transfers
+                .push(Transfer::new(placement.output_offset(start), vb, true));
         } else {
             delta.host_agg_bytes += (n_inst + 1) as f64 * vb as f64;
             delta.host_extra_cycles += n_inst * (d as u64 / 4 + 4);
         }
     } else if kind == ModelKind::Shgnn && cfg.aggregate_in_nmp && n_inst > 0 {
         delta
-            .requests
-            .extend(placement.rank_vec(home, placement.output_offset(start), vb, true));
+            .transfers
+            .push(Transfer::new(placement.output_offset(start), vb, true));
     }
     delta.row = row_out;
     Ok(delta)
@@ -653,7 +674,7 @@ impl ResumableRun {
                     batch,
                 )?;
                 for delta in deltas {
-                    self.apply_visit(delta);
+                    self.apply_visit(&placement, delta);
                 }
                 self.next_start += batch;
                 remaining -= u64::from(batch);
@@ -721,22 +742,26 @@ impl ResumableRun {
     }
 
     /// Folds one visit's delta into the run, in canonical (ascending
-    /// start vertex) order: DRAM requests enqueue in issue order, the
-    /// per-unit cycle and byte tallies accumulate, and the vertex's
-    /// embedding row lands in the in-flight structural matrix.
-    fn apply_visit(&mut self, delta: VisitDelta) {
-        for req in &delta.requests {
-            self.mem.enqueue(*req);
+    /// start vertex) order: each transfer expands into its rank-local
+    /// requests, which enqueue in issue order, the per-unit cycle and
+    /// byte tallies accumulate, and the vertex's embedding row lands in
+    /// the in-flight structural matrix.
+    fn apply_visit(&mut self, placement: &Placement, delta: VisitDelta) {
+        for t in &delta.transfers {
+            for req in placement.rank_vec(delta.home, t.offset, t.bytes(), t.write()) {
+                self.mem.enqueue(req);
+            }
         }
         self.counts.instances += delta.instances;
         self.counts.aggregations += delta.aggregations;
         self.counts.copies += delta.copies;
         self.counts.inter_instance_ops += delta.inter_instance_ops;
         self.counts.demand_fetch_bytes += delta.demand_fetch_bytes;
-        self.gen[delta.dimm] += delta.gen;
-        self.compute[delta.rank] += delta.compute;
-        self.bus.host_agg[delta.channel] += delta.host_agg_bytes;
-        self.bus.demand[delta.channel] += delta.demand_bytes;
+        let dram = &self.config.dram;
+        self.gen[delta.home.global_dimm(dram)] += delta.gen;
+        self.compute[delta.home.global_rank(dram)] += delta.compute;
+        self.bus.host_agg[delta.home.channel] += delta.host_agg_bytes;
+        self.bus.demand[delta.home.channel] += delta.demand_bytes;
         self.host_extra_cycles += delta.host_extra_cycles;
         if let Some(row) = delta.row {
             let s = self.current.as_mut().expect("metapath matrix in flight");
@@ -1580,11 +1605,67 @@ mod tests {
         let json = serde_json::to_string(&state).unwrap();
         // An audited build's image also carries its checker's tallies.
         let golden = if cfg!(feature = "audit") {
-            0xe4e0_fd0c_0cc3_71fa
+            0x5daa_31c6_60ab_9aa3
         } else {
-            0x3005_4cb3_5ef6_5fd8
+            0xac92_9a4a_f125_7a23
         };
         assert_eq!(checkpoint::fnv1a64(json.as_bytes()), golden);
+    }
+
+    /// The DRAM image of a mid-run snapshot holds what is in flight, not
+    /// what the run has done: no ledger entry outlives its request's
+    /// last queued burst (every request here is a single 64-B burst, so
+    /// there are none), and apart from the queues the image is no larger
+    /// at two-thirds of the run than at one-third. Its counters do gain
+    /// digits, so sizes compare with every number counted as one
+    /// character.
+    #[test]
+    fn dram_image_stays_bounded_as_the_run_advances() {
+        let (ds, h) = setup(0.02, 16);
+        let starts: u64 = ds
+            .metapaths
+            .iter()
+            .map(|mp| u64::from(ds.graph.vertex_count(mp.start_type()).unwrap()))
+            .sum();
+        let mut run = ResumableRun::new(nmp_config(16));
+        let mut images = Vec::new();
+        for _ in 0..2 {
+            let done = run
+                .step(&ds.graph, &h, ModelKind::Magnn, &ds.metapaths, starts / 3)
+                .unwrap();
+            assert!(!done);
+            let mut mem = checkpoint::Snapshot::snapshot(&run).mem;
+            assert!(mem.completed.count > 0, "requests have completed");
+            for &(id, outstanding, ..) in &mem.inflight {
+                let queued = mem.channels.iter().flat_map(|c| &c.queue);
+                assert_eq!(queued.filter(|b| b.id == id).count(), outstanding);
+            }
+            assert!(
+                mem.inflight.is_empty(),
+                "single-burst requests need no entry"
+            );
+            for ch in &mut mem.channels {
+                ch.queue.clear();
+            }
+            images.push((mem.next_id, shape(&serde_json::to_string(&mem).unwrap())));
+        }
+        let [(issued_third, third), (issued_two_thirds, two_thirds)] = images[..] else {
+            unreachable!("two images")
+        };
+        assert!(issued_two_thirds > issued_third + 10_000, "{images:?}");
+        assert!(two_thirds <= third, "{images:?}");
+    }
+
+    /// Characters of `json` with each number collapsed to one: the size
+    /// of what an image holds, not of how far its cycle counters and
+    /// tallies have counted.
+    fn shape(json: &str) -> usize {
+        let number = |c: char| c.is_ascii_digit() || "+-.eE".contains(c);
+        let prev = std::iter::once(' ').chain(json.chars());
+        json.chars()
+            .zip(prev)
+            .filter(|&(c, p)| !(number(c) && number(p)))
+            .count()
     }
 
     #[test]

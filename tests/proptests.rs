@@ -198,33 +198,38 @@ fn engines_agree_with_attention() {
     });
 }
 
+/// Random single-burst streams complete every request. The per-request
+/// properties (first beat no earlier than arrival, finish after the
+/// first beat) are checked where each burst retires, in debug builds;
+/// here the digest must count every request and equal the digest of a
+/// second system fed the same requests.
 #[test]
 fn dram_completions_are_sane() {
-    use dramsim::{DramConfig, MemorySystem, Request, RequestId};
+    use dramsim::{DramConfig, MemorySystem, Request};
     for_each_case(7, |rng, seed| {
         let n = rng.gen_range(1usize..64);
         let addrs: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..(1 << 22))).collect();
         let arrivals: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..200)).collect();
-        let mut sys = MemorySystem::new(DramConfig::default());
-        for i in 0..n {
-            let req = if i % 3 == 0 {
-                Request::write(addrs[i], 64)
-            } else if i % 3 == 1 {
-                Request::local_read(addrs[i], 64)
-            } else {
-                Request::read(addrs[i], 64)
-            };
-            sys.enqueue(req.at_cycle(arrivals[i]));
-        }
-        let report = sys.service_all();
-        assert_eq!(sys.completion(RequestId(n)), None, "seed {seed}");
-        for (i, &arrival) in arrivals.iter().enumerate() {
-            let c = sys.completion(RequestId(i)).expect("retired");
-            assert_eq!(c.id, RequestId(i), "seed {seed}");
-            assert!(c.data_start >= arrival, "seed {seed}");
-            assert!(c.finish > c.data_start, "seed {seed}");
-            assert!(c.finish <= report.stats.elapsed_cycles, "seed {seed}");
-        }
+        let run = || {
+            let mut sys = MemorySystem::new(DramConfig::default());
+            for i in 0..n {
+                let req = if i % 3 == 0 {
+                    Request::write(addrs[i], 64)
+                } else if i % 3 == 1 {
+                    Request::local_read(addrs[i], 64)
+                } else {
+                    Request::read(addrs[i], 64)
+                };
+                sys.enqueue(req.at_cycle(arrivals[i]));
+            }
+            let report = sys.service_all();
+            (sys, report)
+        };
+        let (sys, report) = run();
+        let (again, again_report) = run();
+        assert_eq!(sys.completions().count, n as u64, "seed {seed}");
+        assert_eq!(sys.completions(), again.completions(), "seed {seed}");
+        assert_eq!(report.stats, again_report.stats, "seed {seed}");
         assert_eq!(
             report.stats.reads + report.stats.writes,
             n as u64,
@@ -348,13 +353,9 @@ fn dram_snapshot_round_trips_mid_stream() {
         let b = resumed.try_service_all().expect("recoverable");
         assert_eq!(a.stats, b.stats, "seed {seed}");
         assert_eq!(a.faults, b.faults, "seed {seed}");
-        for id in (0..first + second).map(dramsim::RequestId) {
-            assert_eq!(
-                reference.completion(id),
-                resumed.completion(id),
-                "seed {seed}"
-            );
-        }
+        let done = reference.completions();
+        assert_eq!(done.count, (first + second) as u64, "seed {seed}");
+        assert_eq!(done, resumed.completions(), "seed {seed}");
     });
 }
 
