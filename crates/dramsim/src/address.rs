@@ -53,12 +53,52 @@ impl Location {
 #[derive(Debug, Clone, Copy)]
 pub struct AddressMapper {
     config: DramConfig,
+    /// Burst blocks per row.
+    cols_per_row: u64,
+    /// Rows below the one holding the highest address, so that every
+    /// burst of one has an address.
+    row_limit: u64,
 }
 
 impl AddressMapper {
     /// Creates a mapper for a configuration.
     pub fn new(config: DramConfig) -> Self {
-        AddressMapper { config }
+        let c = &config;
+        let cols_per_row = (c.row_bytes / c.burst_bytes.max(1)) as u64;
+        // Bytes from one row index to the next.
+        let row_stride = [
+            c.burst_bytes,
+            c.channels,
+            c.bank_groups,
+            c.banks_per_group,
+            c.ranks_per_dimm,
+            c.dimms_per_channel,
+        ]
+        .into_iter()
+        .fold(u128::from(cols_per_row), |bytes, n| {
+            bytes.saturating_mul(n as u128)
+        });
+        AddressMapper {
+            config,
+            cols_per_row,
+            row_limit: (u128::from(u64::MAX) / row_stride.max(1)) as u64,
+        }
+    }
+
+    /// `true` if `loc` names a burst of this topology: every coordinate
+    /// below its count, and a row whose every burst
+    /// [`AddressMapper::compose`] can give an address (any row below the
+    /// one holding the highest address).
+    #[inline]
+    pub(crate) fn contains(&self, loc: &Location) -> bool {
+        let c = &self.config;
+        loc.channel < c.channels
+            && loc.dimm < c.dimms_per_channel
+            && loc.rank < c.ranks_per_dimm
+            && loc.bank_group < c.bank_groups
+            && loc.bank < c.banks_per_group
+            && (loc.column as u64) < self.cols_per_row
+            && loc.row < self.row_limit
     }
 
     /// Decodes a physical byte address.
@@ -68,9 +108,8 @@ impl AddressMapper {
         let mut blk = addr / c.burst_bytes as u64;
         let channel = (blk % c.channels as u64) as usize;
         blk /= c.channels as u64;
-        let cols_per_row = (c.row_bytes / c.burst_bytes) as u64;
-        let column = (blk % cols_per_row) as usize;
-        blk /= cols_per_row;
+        let column = (blk % self.cols_per_row) as usize;
+        blk /= self.cols_per_row;
         let bank = (blk % c.banks_per_group as u64) as usize;
         blk /= c.banks_per_group as u64;
         let bank_group = (blk % c.bank_groups as u64) as usize;
@@ -95,13 +134,12 @@ impl AddressMapper {
     #[inline]
     pub fn compose(&self, loc: Location) -> u64 {
         let c = &self.config;
-        let cols_per_row = (c.row_bytes / c.burst_bytes) as u64;
         let mut blk = loc.row;
         blk = blk * c.dimms_per_channel as u64 + loc.dimm as u64;
         blk = blk * c.ranks_per_dimm as u64 + loc.rank as u64;
         blk = blk * c.bank_groups as u64 + loc.bank_group as u64;
         blk = blk * c.banks_per_group as u64 + loc.bank as u64;
-        blk = blk * cols_per_row + loc.column as u64;
+        blk = blk * self.cols_per_row + loc.column as u64;
         blk = blk * c.channels as u64 + loc.channel as u64;
         blk * c.burst_bytes as u64
     }

@@ -15,11 +15,19 @@
 //!   on the channel, with I/O energy scaled by the terminal capacitance
 //!   of all DIMMs.
 //!
-//! Service streams. [`MemorySystem::enqueue`] services a channel once
-//! its queue reaches a small high-water mark (64 bursts, or four
-//! scheduling windows if that is more), picking only while a full
-//! scheduling window is queued, so every pick, issue cycle and fault
-//! draw is the one a single service of the whole batch would make;
+//! Requests enter by address or by location. [`MemorySystem::enqueue`]
+//! decodes each burst of a [`Request`] through the [`AddressMapper`];
+//! [`MemorySystem::enqueue_burst`] queues one burst whose [`Location`]
+//! the caller already knows — the rank-AUs' traffic, placed inside its
+//! home rank — with no address to compose and decode again. Both take
+//! the same path from there, and a located burst outside the topology
+//! panics, as a zero-byte request does.
+//!
+//! Service streams. Enqueueing services a channel once its queue
+//! reaches a small high-water mark (64 bursts, or four scheduling
+//! windows if that is more), picking only while a full scheduling
+//! window is queued, so every pick, issue cycle and fault draw is the
+//! one a single service of the whole batch would make;
 //! [`MemorySystem::service_all`] drains the rest and publishes the
 //! results. A simulation that enqueues millions of bursts before its
 //! one service call so holds a few dozen per channel at a time. A

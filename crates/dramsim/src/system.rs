@@ -120,8 +120,8 @@ struct ChannelState {
     perturb: audit::Perturbation,
 }
 
-/// One queued burst, decoded once at enqueue (and snapshot restore)
-/// into exactly the coordinates the scheduler, the issue path and the
+/// One queued burst, reduced once at enqueue (and snapshot restore)
+/// to exactly the coordinates the scheduler, the issue path and the
 /// fault pipeline read, packed into 32 bytes. Streaming service keeps a
 /// few dozen per channel queued, except behind a stalled rank or a
 /// parked channel, where the queue holds everything enqueued until
@@ -145,9 +145,10 @@ struct Burst {
 }
 
 impl Burst {
-    /// Packs a decoded location; the topology was checked against the
-    /// compact widths by [`MemorySystem::check_topology`] when the
-    /// system was built.
+    /// Packs a location inside the topology (decoded by the mapper, or
+    /// checked by [`MemorySystem::enqueue_burst`]); the topology was
+    /// checked against the compact widths by
+    /// [`MemorySystem::check_topology`] when the system was built.
     fn new(
         id: RequestId,
         loc: Location,
@@ -405,9 +406,50 @@ impl MemorySystem {
     /// Panics if `bytes` is zero.
     pub fn enqueue(&mut self, req: Request) -> RequestId {
         assert!(req.bytes > 0, "request must transfer at least one byte");
+        let (mapper, step) = (self.mapper, self.config.burst_bytes);
+        let locations =
+            (0..req.bytes.div_ceil(step)).map(|i| mapper.map(req.addr + (i * step) as u64));
+        self.push(locations, req.kind, req.locality, req.arrival_cycle)
+    }
+
+    /// Queues a one-burst request at an already decoded location, as
+    /// [`MemorySystem::enqueue`] queues a request of at most one burst
+    /// at the address [`AddressMapper::compose`] gives `loc`. A caller
+    /// that computes its bursts' coordinates itself, as near-memory
+    /// units placing data in their own rank do, so skips composing an
+    /// address only for it to be decoded again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc` lies outside the topology: a coordinate at or
+    /// beyond its count, or a row too large to have an address.
+    pub fn enqueue_burst(
+        &mut self,
+        loc: Location,
+        kind: RequestKind,
+        locality: Locality,
+        arrival_cycle: u64,
+    ) -> RequestId {
+        assert!(
+            self.mapper.contains(&loc),
+            "burst location {loc:?} lies outside the DRAM topology"
+        );
+        self.push(std::iter::once(loc), kind, locality, arrival_cycle)
+    }
+
+    /// Queues a request with one burst at each of `locations` under the
+    /// next id — with a ledger entry if it has more than one burst — and
+    /// services each channel whose queue reaches the high-water mark.
+    fn push(
+        &mut self,
+        locations: impl ExactSizeIterator<Item = Location>,
+        kind: RequestKind,
+        locality: Locality,
+        arrival: u64,
+    ) -> RequestId {
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        let bursts = req.bytes.div_ceil(self.config.burst_bytes);
+        let bursts = locations.len();
         if bursts > 1 {
             self.inflight.insert(id.0, (bursts, u64::MAX, 0));
         }
@@ -417,17 +459,8 @@ impl MemorySystem {
             self.audit.serviced.push(0);
         }
         let high_water = HIGH_WATER.max(4 * self.config.sched_window);
-        for i in 0..bursts {
-            let addr = req.addr + (i * self.config.burst_bytes) as u64;
-            let loc = self.mapper.map(addr);
-            let burst = Burst::new(
-                id,
-                loc,
-                req.kind,
-                req.locality,
-                req.arrival_cycle,
-                &self.config,
-            );
+        for loc in locations {
+            let burst = Burst::new(id, loc, kind, locality, arrival, &self.config);
             let queue = &mut self.channels[loc.channel].queue;
             queue.push_back(burst);
             if queue.len() >= high_water {
@@ -2553,6 +2586,146 @@ mod tests {
         );
     }
 
+    /// The `i`-th burst of a mixed located stream: every locality and
+    /// both kinds, rows revisited to force conflicts, and arrivals past
+    /// tREFI.
+    fn located_burst(cfg: &DramConfig, i: u64) -> (Location, RequestKind, Locality, u64) {
+        let n = i as usize;
+        let loc = Location {
+            channel: n % cfg.channels,
+            dimm: n / 4 % cfg.dimms_per_channel,
+            rank: n / 8 % cfg.ranks_per_dimm,
+            bank_group: n / 3 % cfg.bank_groups,
+            bank: n / 5 % cfg.banks_per_group,
+            row: i / 64 % 9 + ((i % 7) << 20),
+            column: n * 11 % 64,
+        };
+        let (kind, locality) = match i % 6 {
+            0 => (RequestKind::Read, Locality::RankLocal),
+            1 => (RequestKind::Write, Locality::RankLocal),
+            2 => (RequestKind::Read, Locality::Channel),
+            3 => (RequestKind::Write, Locality::Broadcast),
+            4 => (RequestKind::Write, Locality::DirectSend),
+            _ => (RequestKind::Read, Locality::RankLocal),
+        };
+        let arrival = if i % 10 == 9 {
+            i * cfg.timing.t_refi / 1000
+        } else {
+            0
+        };
+        (loc, kind, locality, arrival)
+    }
+
+    /// A stream of located bursts runs exactly as the same one-burst
+    /// requests at their composed addresses: same ids, reports, errors,
+    /// completions, and snapshot bytes mid-stream and after each
+    /// service, fault-free, faulted and with a stalled rank.
+    #[test]
+    fn located_bursts_match_composed_requests() {
+        use checkpoint::Snapshot;
+        let faulted = FaultConfig {
+            seed: 23,
+            bit_flip_rate: 0.05,
+            stall_rate: 0.02,
+            stuck_row_rate: 0.02,
+            failed_bank_rate: 0.05,
+            retry_limit: 50,
+            ..FaultConfig::off()
+        };
+        let stalled = FaultConfig {
+            stalled_rank_mask: 1 << 5, // channel 1, rank 1
+            watchdog_limit: 500,
+            ..FaultConfig::off()
+        };
+        let cfg = DramConfig::default();
+        let mapper = AddressMapper::new(cfg);
+        let image =
+            |sys: &MemorySystem| serde_json::to_string(&sys.snapshot()).expect("serializes");
+        for faults in [FaultConfig::off(), faulted, stalled] {
+            let mut located = MemorySystem::with_faults(cfg, faults);
+            let mut composed = MemorySystem::with_faults(cfg, faults);
+            for round in 0..2u64 {
+                for i in round * 3000..(round + 1) * 3000 {
+                    let (loc, kind, locality, arrival_cycle) = located_burst(&cfg, i);
+                    let req = Request {
+                        addr: mapper.compose(loc),
+                        bytes: cfg.burst_bytes,
+                        kind,
+                        locality,
+                        arrival_cycle,
+                    };
+                    assert_eq!(
+                        located.enqueue_burst(loc, kind, locality, arrival_cycle),
+                        composed.enqueue(req)
+                    );
+                    if i % 3000 == 1500 {
+                        assert_eq!(image(&located), image(&composed), "mid-stream, burst {i}");
+                    }
+                }
+                let a = located.try_service_all().map(|r| (r.stats, r.faults));
+                let b = composed.try_service_all().map(|r| (r.stats, r.faults));
+                assert_eq!(a.is_err(), faults == stalled, "{a:?}");
+                assert_eq!(a, b);
+                assert_eq!(located.completions(), composed.completions());
+                assert_eq!(image(&located), image(&composed));
+            }
+            if faults == faulted {
+                let f = located.fault_stats();
+                assert!(
+                    f.read_retries > 0 && f.row_remaps > 0 && f.bank_remaps > 0,
+                    "{f:?}"
+                );
+            }
+        }
+    }
+
+    /// A located burst outside the topology is refused before it takes
+    /// an id, whichever coordinate is out of range; it is never packed
+    /// into the compact queue entry.
+    #[test]
+    fn located_bursts_outside_the_topology_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cfg = DramConfig::default();
+        // 64 B × 4 channels × 64 columns × 16 banks × 4 ranks per
+        // channel: 2^20 bytes per row index, so the highest address is
+        // in row 2^44 - 1.
+        let last = Location {
+            channel: 3,
+            dimm: 1,
+            rank: 1,
+            bank_group: 3,
+            bank: 3,
+            row: (1 << 44) - 2,
+            column: 63,
+        };
+        let mut sys = MemorySystem::new(cfg);
+        sys.enqueue_burst(last, RequestKind::Read, Locality::RankLocal, 0);
+        let state = checkpoint::Snapshot::snapshot(&sys);
+        assert_eq!(state.channels[3].queue[0].addr, u64::MAX - (1 << 20) - 63);
+        let outside = [
+            Location { channel: 4, ..last },
+            Location { dimm: 2, ..last },
+            Location { rank: 2, ..last },
+            Location {
+                bank_group: 4,
+                ..last
+            },
+            Location { bank: 4, ..last },
+            Location {
+                row: (1 << 44) - 1,
+                ..last
+            },
+            Location { column: 64, ..last },
+        ];
+        for loc in outside {
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                sys.enqueue_burst(loc, RequestKind::Write, Locality::RankLocal, 0)
+            }));
+            assert!(refused.is_err(), "{loc:?} was queued");
+        }
+        assert_eq!(sys.enqueue(Request::read(0, 64)), RequestId(1));
+    }
+
     #[test]
     fn persistent_remaps_are_counted() {
         let cfg = FaultConfig {
@@ -2621,6 +2794,33 @@ mod tests {
             assert!(report.is_clean(), "{}", report.summary());
             assert!(report.commands_checked > 512);
             assert!(report.refresh_events > 0, "workload must cross tREFI");
+        }
+
+        /// Located bursts retire and conserve energy exactly as
+        /// composed requests do, with and without fault retries.
+        #[test]
+        fn audit_is_clean_on_a_located_stream() {
+            let cfg = DramConfig::default();
+            let retries = FaultConfig {
+                seed: 7,
+                bit_flip_rate: 0.2,
+                stuck_row_rate: 0.05,
+                retry_limit: 50,
+                ..FaultConfig::off()
+            };
+            for faults in [FaultConfig::off(), retries] {
+                let mut sys = MemorySystem::with_faults(cfg, faults);
+                for i in 0..4000 {
+                    let (loc, kind, locality, arrival_cycle) = located_burst(&cfg, i);
+                    sys.enqueue_burst(loc, kind, locality, arrival_cycle);
+                }
+                let r = sys.try_service_all().expect("retry budget covers it");
+                assert_eq!(r.faults.read_retries > 0, faults == retries);
+                let report = sys.audit_report(true);
+                assert!(report.is_clean(), "{}", report.summary());
+                assert!(report.commands_checked > 4000);
+                assert!(report.refresh_events > 0, "stream must cross tREFI");
+            }
         }
 
         #[test]

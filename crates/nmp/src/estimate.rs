@@ -14,7 +14,7 @@
 //! accounting. They agree on small graphs (cross-checked in `tests/`),
 //! which is what licenses using the estimator at scale.
 
-use dramsim::{EnergyBreakdown, MemorySystem};
+use dramsim::{EnergyBreakdown, Locality, MemorySystem, RequestKind};
 use hetgraph::instances::count_instances_and_nodes_per_start;
 use hetgraph::{HeteroGraph, Metapath};
 use hgnn::ModelKind;
@@ -49,12 +49,12 @@ pub fn calibrate_rank_local(config: &NmpConfig) -> RankCalibration {
     let samples = 2048u64;
     for slot in 0..samples {
         if slot >= 1 {
-            for req in placement.rank_vec(home, placement.agg_offset(slot - 1), vb, false) {
-                mem.enqueue(req);
+            for loc in placement.rank_vec(home, placement.agg_offset(slot - 1), vb) {
+                mem.enqueue_burst(loc, RequestKind::Read, Locality::RankLocal, 0);
             }
         }
-        for req in placement.rank_vec(home, placement.agg_offset(slot), vb, true) {
-            mem.enqueue(req);
+        for loc in placement.rank_vec(home, placement.agg_offset(slot), vb) {
+            mem.enqueue_burst(loc, RequestKind::Write, Locality::RankLocal, 0);
         }
     }
     let report = mem.service_all();

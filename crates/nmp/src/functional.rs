@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use dramsim::MemorySystem;
+use dramsim::{Locality, MemorySystem, RequestKind};
 use faultsim::{FaultInjector, FaultStats};
 use hetgraph::cartesian::walk_prefix_tree;
 use hetgraph::cartesian::WalkEvent;
@@ -54,10 +54,17 @@ use crate::snapshot::FunctionalState;
 /// code and the same ordered apply.
 const PAR_MIN_BATCH_VISITS: usize = 32;
 
-/// Per-worker scratch for [`compute_visit`], sized once per
-/// (metapath, worker) and reused across every start vertex the worker
-/// visits, so the structural walk itself allocates only its delta: the
-/// embedding row and one 16-byte [`Transfer`] per vector it moves.
+/// Start vertices visited per [`compute_batch`] call. Every visit's
+/// transfers stay buffered until its batch is applied, so the cap bounds
+/// them by 64 visits' worth rather than by the step budget or the
+/// metapath; visits apply in ascending vertex order whatever the
+/// chunking, so it changes no result.
+const MAX_BATCH_VISITS: u64 = 64;
+
+/// Per-worker scratch for [`compute_visit`], sized once per (batch,
+/// worker) and reused across every start vertex the worker visits, so
+/// the structural walk itself allocates only its delta: the embedding
+/// row and one 16-byte [`Transfer`] per vector it moves.
 #[derive(Debug)]
 struct VisitScratch {
     prefix: Vec<Vec<f32>>,
@@ -87,10 +94,10 @@ impl VisitScratch {
 /// `offset` of the visit's home rank, read or written. A batch buffers
 /// its visits' deltas until they are applied, so a transfer is kept as
 /// 16 bytes — the offset, and the byte count shifted left by one with
-/// the direction in the low bit — rather than as the 32-byte 64-B
-/// requests it becomes: four of them per vector at hidden dimension
-/// 64. [`ResumableRun::apply_visit`] expands it with
-/// [`Placement::rank_vec`].
+/// the direction in the low bit — rather than as the bursts it becomes:
+/// four per vector at hidden dimension 64. [`ResumableRun::apply_visit`]
+/// expands it into burst locations with [`Placement::rank_vec`] and
+/// queues each with [`MemorySystem::enqueue_burst`].
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
     offset: u64,
@@ -110,8 +117,12 @@ impl Transfer {
         (self.len >> 1) as usize
     }
 
-    fn write(self) -> bool {
-        self.len & 1 == 1
+    fn kind(self) -> RequestKind {
+        if self.len & 1 == 1 {
+            RequestKind::Write
+        } else {
+            RequestKind::Read
+        }
     }
 }
 
@@ -657,12 +668,14 @@ impl ResumableRun {
                 if remaining == 0 {
                     return Ok(false);
                 }
-                // Visit the next budget's worth of start vertices as
-                // one batch: deltas are computed (possibly on worker
+                // Visit the next start vertices of the budget as one
+                // batch: deltas are computed (possibly on worker
                 // threads) and applied in ascending vertex order, so
                 // the run is identical at every thread count and for
                 // every chunking of the budget.
-                let batch = u64::from(start_count - self.next_start).min(remaining) as u32;
+                let batch = u64::from(start_count - self.next_start)
+                    .min(remaining)
+                    .min(MAX_BATCH_VISITS) as u32;
                 let deltas = compute_batch(
                     &self.config,
                     graph,
@@ -742,14 +755,15 @@ impl ResumableRun {
     }
 
     /// Folds one visit's delta into the run, in canonical (ascending
-    /// start vertex) order: each transfer expands into its rank-local
-    /// requests, which enqueue in issue order, the per-unit cycle and
-    /// byte tallies accumulate, and the vertex's embedding row lands in
-    /// the in-flight structural matrix.
+    /// start vertex) order: each transfer expands into the locations of
+    /// its rank-local bursts, which enqueue in issue order as one-burst
+    /// requests, the per-unit cycle and byte tallies accumulate, and the
+    /// vertex's embedding row lands in the in-flight structural matrix.
     fn apply_visit(&mut self, placement: &Placement, delta: VisitDelta) {
         for t in &delta.transfers {
-            for req in placement.rank_vec(delta.home, t.offset, t.bytes(), t.write()) {
-                self.mem.enqueue(req);
+            let kind = t.kind();
+            for loc in placement.rank_vec(delta.home, t.offset, t.bytes()) {
+                self.mem.enqueue_burst(loc, kind, Locality::RankLocal, 0);
             }
         }
         self.counts.instances += delta.instances;
@@ -876,9 +890,11 @@ impl ResumableRun {
                 if cfg.aggregate_in_nmp {
                     compute[rank] += k as u64 * vec_op + vec_op;
                     let output = placement.output_offset(r as u32);
-                    let reads = placement.rank_vec(home, output, k * vb, false);
-                    for req in reads.chain(placement.rank_vec(home, output, vb, true)) {
-                        mem.enqueue(req);
+                    for loc in placement.rank_vec(home, output, k * vb) {
+                        mem.enqueue_burst(loc, RequestKind::Read, Locality::RankLocal, 0);
+                    }
+                    for loc in placement.rank_vec(home, output, vb) {
+                        mem.enqueue_burst(loc, RequestKind::Write, Locality::RankLocal, 0);
                     }
                 } else {
                     bus.host_agg[home.channel] += (k + 1) as f64 * vb as f64;

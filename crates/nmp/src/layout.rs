@@ -1,5 +1,5 @@
-//! Data placement: which DIMM/rank owns each vertex, and physical
-//! addresses for features, outputs, and aggregation results.
+//! Data placement: which DIMM/rank owns each vertex, and the DRAM
+//! locations of its features, outputs, and aggregation results.
 //!
 //! §4.4: the virtual memory system "ensures that both features of a
 //! vertex and its final output are allocated completely within the same
@@ -9,7 +9,7 @@
 //! feature vector, its per-instance aggregation results, and its output
 //! all live there.
 
-use dramsim::{AddressMapper, DramConfig, Location, Request};
+use dramsim::{DramConfig, Location};
 use serde::{Deserialize, Serialize};
 
 /// A home location for a vertex: channel / DIMM / rank coordinates.
@@ -39,13 +39,11 @@ impl Home {
 const FEATURE_REGION: u64 = 0;
 const AGG_REGION: u64 = 1 << 30;
 const OUTPUT_REGION: u64 = 3 << 29;
-const EDGE_REGION: u64 = 7 << 28;
 
-/// Deterministic vertex placement and address generation.
+/// Deterministic vertex placement and rank-local burst locations.
 #[derive(Debug, Clone)]
 pub struct Placement {
     config: DramConfig,
-    mapper: AddressMapper,
     feature_bytes: u64,
 }
 
@@ -55,7 +53,6 @@ impl Placement {
     pub fn new(config: DramConfig, hidden_dim: usize) -> Self {
         Placement {
             config,
-            mapper: AddressMapper::new(config),
             feature_bytes: (hidden_dim * 4) as u64,
         }
     }
@@ -81,14 +78,13 @@ impl Placement {
         }
     }
 
-    /// Physical address of a byte offset within a rank's local space.
+    /// The DRAM location of the burst holding byte `offset` of a
+    /// rank's local space.
     ///
-    /// Note that *consecutive rank offsets do not map to consecutive
-    /// physical addresses* (the system address map interleaves
-    /// channels first), so multi-burst rank-local transfers must be
-    /// issued burst by burst through this function — see
-    /// [`Placement::rank_vec`].
-    fn rank_addr(&self, home: Home, offset: u64) -> u64 {
+    /// Rank offsets are laid out within the rank, not through the
+    /// system address map, which interleaves channels first: there,
+    /// consecutive physical addresses would leave the rank.
+    pub(crate) fn rank_location(&self, home: Home, offset: u64) -> Location {
         let c = &self.config;
         let burst = c.burst_bytes as u64;
         let cols_per_row = (c.row_bytes / c.burst_bytes) as u64;
@@ -103,7 +99,7 @@ impl Placement {
         let rest = rest / c.banks_per_group as u64;
         let column = (rest % cols_per_row) as usize;
         let row = rest / cols_per_row;
-        self.mapper.compose(Location {
+        Location {
             channel: home.channel,
             dimm: home.dimm,
             rank: home.rank,
@@ -111,49 +107,22 @@ impl Placement {
             bank,
             row,
             column,
-        })
+        }
     }
 
-    /// The rank-local requests that move `bytes` from rank offset
-    /// `offset`: one 64-byte burst each, in ascending offset order,
-    /// every one within the home rank (§4.4). Consecutive physical
-    /// addresses would stripe across channels instead.
+    /// The locations of the bursts that move `bytes` from rank offset
+    /// `offset`: one per burst, in ascending offset order, every one
+    /// within the home rank (§4.4). They enter the DRAM model through
+    /// [`dramsim::MemorySystem::enqueue_burst`] with no address.
     pub fn rank_vec(
         &self,
         home: Home,
         offset: u64,
         bytes: usize,
-        write: bool,
-    ) -> impl Iterator<Item = Request> + '_ {
-        (offset..offset + bytes as u64).step_by(64).map(move |off| {
-            let addr = self.rank_addr(home, off);
-            if write {
-                Request::local_write(addr, 64)
-            } else {
-                Request::local_read(addr, 64)
-            }
-        })
-    }
-
-    /// Address of a vertex's (projected) feature vector, in its home
-    /// rank's feature region.
-    pub fn feature_addr(&self, ty: u8, id: u32) -> u64 {
-        let home = self.home(ty, id);
-        self.rank_addr(home, FEATURE_REGION + id as u64 * self.feature_bytes)
-    }
-
-    /// Address of the `slot`-th aggregation result allocated on a rank
-    /// (the reserved region of Figure 9b; 128 MB per DIMM suffices per
-    /// the paper).
-    pub fn agg_result_addr(&self, home: Home, slot: u64) -> u64 {
-        self.rank_addr(home, AGG_REGION + slot * self.feature_bytes)
-    }
-
-    /// Address of a start vertex's output vector (same rank as its
-    /// features, per §4.4).
-    pub fn output_addr(&self, ty: u8, id: u32) -> u64 {
-        let home = self.home(ty, id);
-        self.rank_addr(home, OUTPUT_REGION + id as u64 * self.feature_bytes)
+    ) -> impl Iterator<Item = Location> + '_ {
+        (offset..offset + bytes as u64)
+            .step_by(self.config.burst_bytes)
+            .map(move |off| self.rank_location(home, off))
     }
 
     /// Rank-local byte offset of a vertex's feature vector.
@@ -161,21 +130,17 @@ impl Placement {
         FEATURE_REGION + id as u64 * self.feature_bytes
     }
 
-    /// Rank-local byte offset of an aggregation-result slot.
+    /// Rank-local byte offset of an aggregation-result slot (the
+    /// reserved region of Figure 9b; 128 MB per DIMM suffices per the
+    /// paper).
     pub fn agg_offset(&self, slot: u64) -> u64 {
         AGG_REGION + slot * self.feature_bytes
     }
 
-    /// Rank-local byte offset of a start vertex's output vector.
+    /// Rank-local byte offset of a start vertex's output vector (in the
+    /// same rank as its features, per §4.4).
     pub fn output_offset(&self, id: u32) -> u64 {
         OUTPUT_REGION + id as u64 * self.feature_bytes
-    }
-
-    /// Address of a vertex's neighbor-list (edge) data; edge data is
-    /// spread round-robin like any other OS page.
-    pub fn edge_addr(&self, ty: u8, id: u32) -> u64 {
-        let home = self.home(ty, id.wrapping_mul(2654435761));
-        self.rank_addr(home, EDGE_REGION + id as u64 * 64)
     }
 
     /// The memory configuration.
@@ -205,36 +170,50 @@ mod tests {
         assert_eq!(seen.len(), p.config().total_dimms());
     }
 
+    /// The bursts of one vector at `offset` in `home`'s rank.
+    fn vector(p: &Placement, home: Home, offset: u64) -> Vec<Location> {
+        p.rank_vec(home, offset, p.feature_bytes() as usize)
+            .collect()
+    }
+
     #[test]
     fn feature_addr_maps_to_home_rank() {
         let p = placement();
-        let m = AddressMapper::new(*p.config());
         for id in 0..64 {
             let home = p.home(1, id);
-            let loc = m.map(p.feature_addr(1, id));
-            assert_eq!(loc.channel, home.channel);
-            assert_eq!(loc.dimm, home.dimm);
-            assert_eq!(loc.rank, home.rank);
+            let bursts = vector(&p, home, p.feature_offset(id));
+            assert_eq!(bursts.len(), 4, "256 B in 64-B bursts");
+            for loc in bursts {
+                assert_eq!(loc.channel, home.channel);
+                assert_eq!(loc.dimm, home.dimm);
+                assert_eq!(loc.rank, home.rank);
+            }
         }
     }
 
     #[test]
     fn output_and_feature_share_rank() {
         let p = placement();
-        let m = AddressMapper::new(*p.config());
         for id in 0..32 {
-            let f = m.map(p.feature_addr(2, id));
-            let o = m.map(p.output_addr(2, id));
-            assert_eq!((f.channel, f.dimm, f.rank), (o.channel, o.dimm, o.rank));
+            let home = p.home(2, id);
+            let features = vector(&p, home, p.feature_offset(id));
+            let outputs = vector(&p, home, p.output_offset(id));
+            for (f, o) in features.iter().zip(&outputs) {
+                assert_eq!((f.channel, f.dimm, f.rank), (o.channel, o.dimm, o.rank));
+            }
         }
     }
 
     #[test]
     fn regions_do_not_collide() {
         let p = placement();
-        // Feature and output addresses of the same vertex must differ.
+        // Feature and output bursts of the same vertex must differ.
         for id in 0..32 {
-            assert_ne!(p.feature_addr(0, id), p.output_addr(0, id));
+            let home = p.home(0, id);
+            let outputs = vector(&p, home, p.output_offset(id));
+            for f in vector(&p, home, p.feature_offset(id)) {
+                assert!(!outputs.contains(&f), "{f:?}");
+            }
         }
     }
 
@@ -242,9 +221,86 @@ mod tests {
     fn agg_slots_are_distinct() {
         let p = placement();
         let home = p.home(0, 1);
-        let a = p.agg_result_addr(home, 0);
-        let b = p.agg_result_addr(home, 1);
-        assert_ne!(a, b);
+        let a = vector(&p, home, p.agg_offset(0));
+        for b in vector(&p, home, p.agg_offset(1)) {
+            assert!(!a.contains(&b), "{b:?}");
+        }
+    }
+
+    /// The address the placement composed for a rank offset before
+    /// bursts entered the DRAM model located: the same coordinates,
+    /// composed through the system address map.
+    fn composed_addr(config: &DramConfig, home: Home, offset: u64) -> u64 {
+        let c = config;
+        let cols_per_row = (c.row_bytes / c.burst_bytes) as u64;
+        let blk = offset / c.burst_bytes as u64;
+        let bank_group = (blk % c.bank_groups as u64) as usize;
+        let rest = blk / c.bank_groups as u64;
+        let bank = (rest % c.banks_per_group as u64) as usize;
+        let rest = rest / c.banks_per_group as u64;
+        dramsim::AddressMapper::new(*config).compose(Location {
+            channel: home.channel,
+            dimm: home.dimm,
+            rank: home.rank,
+            bank_group,
+            bank,
+            row: rest / cols_per_row,
+            column: (rest % cols_per_row) as usize,
+        })
+    }
+
+    /// Every burst `rank_vec` yields is the location the DRAM model
+    /// decoded from the composed address it replaces, burst for burst,
+    /// across the feature, aggregation and output regions of every
+    /// geometry the figures run: the default, Fig. 16's single- and
+    /// multi-channel DIMM counts, Fig. 17's ranks per DIMM, and a
+    /// topology with no power-of-two channel, DIMM or bank-group count.
+    #[test]
+    fn rank_vec_matches_the_composed_address_map() {
+        let base = DramConfig::default();
+        let mut configs = vec![base];
+        for dimms in [2usize, 4, 8, 16, 32, 64] {
+            for (channels, dimms_per_channel) in [(1, dimms), (dimms / 2, 2)] {
+                configs.push(DramConfig {
+                    channels,
+                    dimms_per_channel,
+                    ..base
+                });
+            }
+        }
+        for ranks_per_dimm in [1, 2, 4] {
+            configs.push(DramConfig {
+                ranks_per_dimm,
+                ..base
+            });
+        }
+        configs.push(DramConfig {
+            channels: 3,
+            dimms_per_channel: 3,
+            bank_groups: 3,
+            ..base
+        });
+        for config in configs {
+            let mapper = dramsim::AddressMapper::new(config);
+            let p = Placement::new(config, 64);
+            let bytes = 5 * p.feature_bytes() as usize;
+            for id in (0..4000u32).step_by(37) {
+                let home = p.home((id % 3) as u8, id);
+                let slot = u64::from(id) * 13;
+                for offset in [
+                    p.feature_offset(id),
+                    p.agg_offset(slot),
+                    p.output_offset(id),
+                ] {
+                    let located: Vec<Location> = p.rank_vec(home, offset, bytes).collect();
+                    let decoded: Vec<Location> = (offset..offset + bytes as u64)
+                        .step_by(64)
+                        .map(|off| mapper.map(composed_addr(&config, home, off)))
+                        .collect();
+                    assert_eq!(located, decoded, "{config:?} {home:?} offset {offset}");
+                }
+            }
+        }
     }
 
     #[test]

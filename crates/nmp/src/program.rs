@@ -16,6 +16,7 @@
 //! (physical address divided by the 64-byte burst size), which covers
 //! the paper's 64 GB system (2³⁰ bursts).
 
+use dramsim::AddressMapper;
 use hetgraph::cartesian::center_products;
 use hetgraph::{HeteroGraph, Metapath};
 
@@ -23,13 +24,30 @@ use crate::buffers::InstanceBuffer;
 use crate::config::NmpConfig;
 use crate::error::NmpError;
 use crate::isa::NmpInstruction;
-use crate::layout::Placement;
+use crate::layout::{Home, Placement};
 use crate::units::CarPu;
 
 /// Converts a physical byte address into the 32-bit burst handle the
 /// instruction format carries.
 pub fn burst_handle(addr: u64) -> u32 {
     (addr >> 6) as u32
+}
+
+/// Rank-local region of the edge (neighbor-list) data the broadcast
+/// instructions name.
+const EDGE_REGION: u64 = 7 << 28;
+
+/// The burst handle of byte `offset` in `home`'s rank.
+fn rank_handle(placement: &Placement, home: Home, offset: u64) -> u32 {
+    let mapper = AddressMapper::new(*placement.config());
+    burst_handle(mapper.compose(placement.rank_location(home, offset)))
+}
+
+/// The burst handle of a vertex's neighbor-list (edge) data, which is
+/// spread round-robin like any other OS page.
+fn edge_handle(placement: &Placement, ty: u8, id: u32) -> u32 {
+    let home = placement.home(ty, id.wrapping_mul(2654435761));
+    rank_handle(placement, home, EDGE_REGION + id as u64 * 64)
 }
 
 /// A compiled NMP program for one metapath's first cartesian-like
@@ -88,22 +106,26 @@ pub fn compile_first_product(
             mask |= 1 << (home.dimm.min(3));
             instructions.push(NmpInstruction::Evoke {
                 vertex: u,
-                feature_addr: burst_handle(placement.feature_addr(t0.index() as u8, u)),
+                feature_addr: rank_handle(placement, home, placement.feature_offset(u)),
             });
         }
         instructions.push(NmpInstruction::BroadcastCore {
             vertex: product.center,
             mask,
-            addr: burst_handle(placement.edge_addr(types[1].index() as u8, product.center)),
+            addr: edge_handle(placement, types[1].index() as u8, product.center),
         });
         instructions.push(NmpInstruction::Broadcast {
             mask,
-            addr: burst_handle(placement.edge_addr(types[2].index() as u8, product.center)),
+            addr: edge_handle(placement, types[2].index() as u8, product.center),
         });
         for &u in product.left {
             instructions.push(NmpInstruction::InterInstanceAgg {
                 vertex: u,
-                output_addr: burst_handle(placement.output_addr(t0.index() as u8, u)),
+                output_addr: rank_handle(
+                    placement,
+                    placement.home(t0.index() as u8, u),
+                    placement.output_offset(u),
+                ),
             });
         }
         centers.push(product.center);
@@ -286,11 +308,11 @@ pub fn compile_metapath(
             instructions.push(NmpInstruction::BroadcastCore {
                 vertex: v,
                 mask: 0xF,
-                addr: burst_handle(placement.edge_addr(ty.index() as u8, v)),
+                addr: edge_handle(placement, ty.index() as u8, v),
             });
             instructions.push(NmpInstruction::Broadcast {
                 mask: 0xF,
-                addr: burst_handle(placement.edge_addr(next_ty.index() as u8, v)),
+                addr: edge_handle(placement, next_ty.index() as u8, v),
             });
             centers.push(v);
         }
